@@ -35,6 +35,7 @@ pub mod mrai;
 pub mod network;
 pub mod policy;
 pub mod prefix;
+mod prefix_map;
 pub mod rfd;
 pub mod rib;
 pub mod router;

@@ -7,6 +7,8 @@
 //! event queue simple.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -33,18 +35,22 @@ impl fmt::Debug for AsId {
 /// An AS path: the sequence of ASs a route has traversed, most recent
 /// (neighbor of the receiver) first, origin last. Prepending is represented
 /// naturally by repeated entries.
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub struct AsPath(Vec<AsId>);
+///
+/// The path is an immutable shared slice: cloning it is a reference-count
+/// increment, and [`AsPath::prepend`] builds the new path in a single
+/// allocation. Equality and hashing are by content.
+#[derive(Clone, Eq, Serialize, Deserialize)]
+pub struct AsPath(Arc<[AsId]>);
 
 impl AsPath {
     /// The empty path (a route originated locally).
     pub fn empty() -> Self {
-        AsPath(Vec::new())
+        AsPath(Arc::from([]))
     }
 
     /// Build from an ordered list (first hop → origin).
     pub fn from_slice(asns: &[AsId]) -> Self {
-        AsPath(asns.to_vec())
+        AsPath(Arc::from(asns))
     }
 
     /// The ASs on the path, first hop first.
@@ -74,22 +80,28 @@ impl AsPath {
 
     /// A new path with `asn` prepended `count` times (sender-side export).
     pub fn prepend(&self, asn: AsId, count: usize) -> AsPath {
-        let mut v = Vec::with_capacity(self.0.len() + count);
-        v.extend(std::iter::repeat_n(asn, count));
-        v.extend_from_slice(&self.0);
-        AsPath(v)
+        // Both halves have an exact length, so the shared slice is
+        // allocated once, at its final size.
+        AsPath(
+            std::iter::repeat_n(asn, count)
+                .chain(self.0.iter().copied())
+                .collect(),
+        )
     }
 
     /// The path with consecutive duplicates collapsed — the paper's path
     /// cleaning step ("paths are cleaned by removing AS path prepending").
     pub fn deduplicated(&self) -> AsPath {
+        if self.0.windows(2).all(|w| w[0] != w[1]) {
+            return self.clone();
+        }
         let mut v: Vec<AsId> = Vec::with_capacity(self.0.len());
-        for &a in &self.0 {
+        for &a in self.0.iter() {
             if v.last() != Some(&a) {
                 v.push(a);
             }
         }
-        AsPath(v)
+        AsPath(v.into())
     }
 
     /// True if the *deduplicated* path visits some AS twice (a routing loop).
@@ -97,6 +109,30 @@ impl AsPath {
         let d = self.deduplicated();
         let mut seen = std::collections::HashSet::with_capacity(d.0.len());
         !d.0.iter().all(|a| seen.insert(*a))
+    }
+
+    /// Identity of the shared slice: equal for clones of one path, and
+    /// stable for as long as any clone is alive.
+    pub(crate) fn addr(&self) -> usize {
+        Arc::as_ptr(&self.0) as *const AsId as usize
+    }
+}
+
+impl PartialEq for AsPath {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+    }
+}
+
+impl Hash for AsPath {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+impl Default for AsPath {
+    fn default() -> Self {
+        AsPath::empty()
     }
 }
 
@@ -220,6 +256,25 @@ mod tests {
         let padded = path.prepend(AsId(2), 3);
         assert_eq!(padded.len(), 5);
         assert_eq!(padded.deduplicated(), p(&[2, 3]));
+    }
+
+    #[test]
+    fn clones_share_the_path_and_equality_is_by_content() {
+        use std::collections::hash_map::DefaultHasher;
+        let a = p(&[1, 2, 3]);
+        let shared = a.clone();
+        let rebuilt = AsPath::from_slice(&[AsId(1), AsId(2), AsId(3)]);
+        assert_eq!(shared.addr(), a.addr());
+        assert_ne!(rebuilt.addr(), a.addr());
+        assert_eq!(rebuilt, a);
+        assert_ne!(p(&[1, 2]), a);
+        let hash = |x: &AsPath| {
+            let mut h = DefaultHasher::new();
+            x.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&rebuilt), hash(&a));
+        assert_eq!(AsPath::default(), AsPath::empty());
     }
 
     #[test]

@@ -13,12 +13,11 @@
 //! updates and acts on the returned verdicts; the network layer schedules
 //! the expiry timers the gate requests.
 
-use std::collections::BTreeMap;
-
 use netsim::{SimDuration, SimTime};
 
 use crate::message::{BgpAction, BgpUpdate};
 use crate::prefix::Prefix;
+use crate::prefix_map::PrefixMap;
 
 /// Result of submitting an update to the gate.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -49,7 +48,7 @@ struct Slot {
 #[derive(Debug, Clone, Default)]
 pub struct MraiGate {
     interval: Option<SimDuration>,
-    slots: BTreeMap<Prefix, Slot>,
+    slots: PrefixMap<Slot>,
 }
 
 impl MraiGate {
@@ -57,7 +56,7 @@ impl MraiGate {
     pub fn new(interval: Option<SimDuration>) -> Self {
         MraiGate {
             interval,
-            slots: BTreeMap::new(),
+            slots: PrefixMap::default(),
         }
     }
 
@@ -66,7 +65,7 @@ impl MraiGate {
         let Some(interval) = self.interval else {
             return MraiVerdict::SendNow(update);
         };
-        let slot = self.slots.entry(update.prefix).or_default();
+        let slot = self.slots.entry(update.prefix);
 
         match update.action {
             // Withdrawals bypass the gate and cancel any pending
@@ -95,7 +94,7 @@ impl MraiGate {
     /// send, if any survived (a withdrawal may have cancelled it).
     pub fn expire(&mut self, prefix: Prefix, now: SimTime) -> Option<BgpUpdate> {
         let interval = self.interval?;
-        let slot = self.slots.get_mut(&prefix)?;
+        let slot = self.slots.get_mut(prefix)?;
         slot.armed = false;
         let update = slot.pending.take()?;
         slot.open_at = now + interval;

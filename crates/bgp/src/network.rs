@@ -1,11 +1,11 @@
 //! The simulated inter-domain network: routers, links, and the event loop.
 //!
-//! [`Network`] owns one [`Router`] per AS, a directed link-delay map, and a
-//! [`netsim::EventQueue`]. It drives the simulation by popping events and
+//! [`Network`] owns one [`Router`] per AS, a table of directed links, and
+//! a [`netsim::EventQueue`]. It drives the simulation by popping events and
 //! feeding them to the pure router state machines, translating each
 //! [`crate::router::RouterOutput`] back into scheduled events:
 //!
-//! * `sends` become [`NetEvent::Deliver`] after the link delay (jittered,
+//! * `sends` become deliveries after the link delay (jittered,
 //!   but never reordered within a directed link — BGP sessions run over
 //!   TCP, so per-session FIFO order is preserved by clamping);
 //! * MRAI and RFD timer requests become timer events;
@@ -17,8 +17,24 @@
 //! `stamp: true` carry an [`AggregatorStamp`] of their fire time, exactly
 //! like the paper's beacons encode send timestamps in the aggregator
 //! attribute.
+//!
+//! ## Data layout
+//!
+//! Routers live in a vector indexed by a dense `u32`, and every session
+//! direction is a directed link with a dense `u32` id; a session's two
+//! directions are links `l` and `l ^ 1`. Events name routers and links by
+//! these indices, so the event loop never looks up an AS number: link
+//! delays, FIFO horizons and the down flag are per-link fields, and the
+//! vantage-point taps are a bitmap over router indices. AS numbers are
+//! resolved only at the API boundary ([`Network::router`],
+//! [`Network::attach_tap`], the `schedule_*` calls, and the session order
+//! of [`Network::apply_faults`]). Each router keeps its sessions sorted by
+//! peer AS number, so the decision process and the export loop visit
+//! peers in AS order. That order fixes the event stream, its sequence
+//! numbers and the jitter draws, which the golden outputs pin (DESIGN.md
+//! §5e).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use netsim::faults::{FaultCounters, FaultPlan};
 use netsim::{EventQueue, SimDuration, SimRng, SimTime};
@@ -27,7 +43,7 @@ use crate::message::{AggregatorStamp, AsId, BgpUpdate};
 use crate::policy::SessionPolicy;
 use crate::prefix::Prefix;
 use crate::rib::Route;
-use crate::router::Router;
+use crate::router::{Router, RouterOutput};
 
 /// Global network parameters.
 #[derive(Clone, Debug)]
@@ -71,66 +87,50 @@ impl NetworkConfig {
     }
 }
 
-/// Events understood by the network driver.
+/// The router index of an AS the network does not know.
+const NO_ROUTER: u32 = u32::MAX;
+
+/// Events of the network's event loop. Routers and links are named
+/// by their dense indices.
 #[derive(Clone, Debug)]
-pub enum NetEvent {
-    /// Deliver `update` from `from` to `to` (already delayed).
-    Deliver {
-        /// Sending AS.
-        from: AsId,
-        /// Receiving AS.
-        to: AsId,
-        /// The update on the wire.
-        update: BgpUpdate,
-    },
-    /// An MRAI gate for (router, peer, prefix) may reopen.
-    MraiExpire {
-        /// Router owning the gate.
-        router: AsId,
-        /// The neighbor the gate throttles.
-        peer: AsId,
-        /// Gated prefix.
-        prefix: Prefix,
-    },
-    /// An RFD reuse check for (router, peer, prefix).
-    RfdReuse {
-        /// Router owning the damping state.
-        router: AsId,
-        /// Session the state belongs to.
-        peer: AsId,
-        /// Damped prefix.
-        prefix: Prefix,
-    },
-    /// A locally-scheduled origination (beacon announcement).
+enum NetEvent {
+    /// Deliver `update` over directed link `link` (already delayed).
+    Deliver { link: u32, update: BgpUpdate },
+    /// The MRAI gate that `link`'s sender keeps for `link` may reopen.
+    MraiExpire { link: u32, prefix: Prefix },
+    /// An RFD reuse check on the damping state `link`'s sender keeps for
+    /// routes learned over the session.
+    RfdReuse { link: u32, prefix: Prefix },
+    /// A locally-scheduled origination (beacon announcement); `stamp`
+    /// stamps the aggregator attribute with the fire time.
     Originate {
-        /// Originating AS.
-        router: AsId,
-        /// Prefix to announce.
+        router: u32,
         prefix: Prefix,
-        /// Whether to stamp the aggregator attribute with the fire time.
         stamp: bool,
     },
     /// A locally-scheduled withdrawal (beacon withdrawal).
-    WithdrawOrigin {
-        /// Originating AS.
-        router: AsId,
-        /// Prefix to withdraw.
-        prefix: Prefix,
-    },
-    /// A fault-injected BGP session reset: the `a`–`b` session drops.
-    SessionDown {
-        /// One endpoint.
-        a: AsId,
-        /// The other endpoint.
-        b: AsId,
-    },
-    /// The reset `a`–`b` session re-establishes (full table re-sync).
-    SessionUp {
-        /// One endpoint.
-        a: AsId,
-        /// The other endpoint.
-        b: AsId,
-    },
+    WithdrawOrigin { router: u32, prefix: Prefix },
+    /// A fault-injected reset of `link`'s session drops it.
+    SessionDown { link: u32 },
+    /// The reset session re-establishes (full table re-sync).
+    SessionUp { link: u32 },
+}
+
+/// One direction of a session.
+#[derive(Clone, Debug)]
+struct Link {
+    /// Sending router.
+    from: u32,
+    /// Receiving router.
+    to: u32,
+    /// Position of the session to `to` in `from`'s session list.
+    slot: u32,
+    /// Propagation delay before jitter and processing.
+    delay: SimDuration,
+    /// Last scheduled delivery, to preserve TCP FIFO.
+    horizon: SimTime,
+    /// The session is down (a fault-injected reset is in progress).
+    down: bool,
 }
 
 /// One observation at a vantage point: the VP's best route for a beacon
@@ -172,17 +172,22 @@ pub struct NetStats {
 
 /// The simulated network.
 pub struct Network {
-    routers: BTreeMap<AsId, Router>,
-    delays: BTreeMap<(AsId, AsId), SimDuration>,
+    /// Routers by dense index, in order of addition.
+    routers: Vec<Router>,
+    /// AS number → router index, for the API boundary only.
+    index: BTreeMap<AsId, u32>,
+    /// Directed links; `l` and `l ^ 1` are one session's two directions.
+    links: Vec<Link>,
     queue: EventQueue<NetEvent>,
-    taps: BTreeSet<AsId>,
+    /// Vantage points: one bit per router index.
+    taps: Vec<u64>,
     tap_log: Vec<TapRecord>,
     rng: SimRng,
     config: NetworkConfig,
-    /// Last scheduled delivery per directed link, to preserve TCP FIFO.
-    link_horizon: BTreeMap<(AsId, AsId), SimTime>,
     delivered: u64,
     stats: NetStats,
+    /// Output buffer reused by every dispatch.
+    out: RouterOutput,
     /// Optional event trace. `None` (the default) costs one branch per
     /// dispatch; see DESIGN.md §5d.
     trace: Option<obs::TraceBuffer>,
@@ -190,10 +195,6 @@ pub struct Network {
     rfd_lanes: BTreeMap<(AsId, AsId, Prefix), obs::Lane>,
     /// Interned sim-time lane per router for MRAI deferral instants.
     mrai_lanes: BTreeMap<AsId, obs::Lane>,
-    /// Directed links whose session is currently down (both directions
-    /// inserted). Empty unless a fault plan scheduled resets, so the
-    /// delivery hot path pays exactly one `is_empty` branch.
-    down_links: BTreeSet<(AsId, AsId)>,
     /// Tallies of injected faults (session resets, dropped deliveries).
     fault_counters: FaultCounters,
     /// True once a fault plan was applied (even one injecting nothing).
@@ -207,20 +208,20 @@ impl Network {
     pub fn new(config: NetworkConfig) -> Self {
         let rng = SimRng::new(config.seed).split("network-jitter");
         Network {
-            routers: BTreeMap::new(),
-            delays: BTreeMap::new(),
+            routers: Vec::new(),
+            index: BTreeMap::new(),
+            links: Vec::new(),
             queue: EventQueue::new(),
-            taps: BTreeSet::new(),
+            taps: Vec::new(),
             tap_log: Vec::new(),
             rng,
             config,
-            link_horizon: BTreeMap::new(),
             delivered: 0,
             stats: NetStats::default(),
+            out: RouterOutput::default(),
             trace: None,
             rfd_lanes: BTreeMap::new(),
             mrai_lanes: BTreeMap::new(),
-            down_links: BTreeSet::new(),
             fault_counters: FaultCounters::default(),
             faults_applied: false,
             fault_lanes: BTreeMap::new(),
@@ -228,24 +229,29 @@ impl Network {
     }
 
     /// Schedule every session reset a fault plan prescribes for this
-    /// network's links over `[0, horizon)`. Each reset becomes a
-    /// [`NetEvent::SessionDown`]/[`NetEvent::SessionUp`] pair; between
-    /// the two, deliveries on the link are dropped (and counted). Links
-    /// are visited in deterministic order, and the plan itself is a pure
-    /// function of its seed, so the same `(seed, plan)` always injects
-    /// the same resets.
+    /// network's links over `[0, horizon)`. Each reset becomes a session
+    /// down/up event pair; between the two, deliveries on the link are
+    /// dropped (and counted). Sessions are visited in (AS, AS) order,
+    /// and the plan itself is a pure function of its seed, so the same
+    /// `(seed, plan)` always injects the same resets.
     pub fn apply_faults(&mut self, plan: &FaultPlan, horizon: SimDuration) {
         self.faults_applied = true;
-        for &(a, b) in self.delays.keys() {
-            if a >= b {
-                continue; // each undirected link once
-            }
+        // Each session once, by the direction leaving its lower AS.
+        let mut sessions: Vec<(AsId, AsId, u32)> = self
+            .links
+            .iter()
+            .zip(0u32..)
+            .map(|(l, id)| (self.asn(l.from), self.asn(l.to), id))
+            .filter(|(a, b, _)| a < b)
+            .collect();
+        sessions.sort_unstable();
+        for (a, b, link) in sessions {
             if let Some((down_at, up_at)) =
                 plan.session_reset(u64::from(a.0), u64::from(b.0), horizon)
             {
                 self.queue
-                    .schedule_at(down_at, NetEvent::SessionDown { a, b });
-                self.queue.schedule_at(up_at, NetEvent::SessionUp { a, b });
+                    .schedule_at(down_at, NetEvent::SessionDown { link });
+                self.queue.schedule_at(up_at, NetEvent::SessionUp { link });
             }
         }
     }
@@ -280,12 +286,60 @@ impl Network {
 
     /// Add a router for `asn` (no-op if it exists).
     pub fn add_router(&mut self, asn: AsId) {
-        self.routers.entry(asn).or_insert_with(|| Router::new(asn));
+        self.router_index(asn);
+    }
+
+    /// The index of `asn`'s router, adding the router if it is new.
+    fn router_index(&mut self, asn: AsId) -> u32 {
+        let next = u32::try_from(self.routers.len())
+            .ok()
+            .filter(|&n| n != NO_ROUTER)
+            .expect("fewer than 2^32 - 1 routers");
+        let index = *self.index.entry(asn).or_insert(next);
+        if index == next {
+            self.routers.push(Router::new(asn));
+        }
+        index
+    }
+
+    fn asn(&self, router: u32) -> AsId {
+        self.routers[router as usize].asn()
+    }
+
+    /// Add a router for every AS in `asns`, then size the router and link
+    /// tables for the sessions `links` will connect (endpoint pairs), so
+    /// that the [`Network::connect`] calls that follow never reallocate.
+    pub fn reserve(
+        &mut self,
+        asns: impl ExactSizeIterator<Item = AsId>,
+        links: impl IntoIterator<Item = (AsId, AsId)>,
+    ) {
+        self.routers.reserve_exact(asns.len());
+        for asn in asns {
+            self.add_router(asn);
+        }
+        let mut degree = vec![0usize; self.routers.len()];
+        let mut sessions = 0;
+        for (a, b) in links {
+            for asn in [a, b] {
+                let i = self.router_index(asn) as usize;
+                if i >= degree.len() {
+                    degree.resize(i + 1, 0);
+                }
+                degree[i] += 1;
+            }
+            sessions += 1;
+        }
+        self.links.reserve_exact(2 * sessions);
+        for (router, d) in self.routers.iter_mut().zip(degree) {
+            router.reserve_sessions(d);
+        }
     }
 
     /// Connect `a` and `b` with the given per-side session policies and a
     /// symmetric link delay. Policies are *from each side's perspective*:
-    /// `policy_at_a` is how `a` treats neighbor `b`.
+    /// `policy_at_a` is how `a` treats neighbor `b`. Connecting a pair
+    /// again reconfigures its session (resetting its state) and delay.
     pub fn connect(
         &mut self,
         a: AsId,
@@ -300,40 +354,64 @@ impl Network {
             policy_at_b.relationship.reversed(),
             "inconsistent relationship on link {a}–{b}"
         );
-        self.add_router(a);
-        self.add_router(b);
-        let d = delay.unwrap_or(self.config.default_link_delay);
-        self.delays.insert((a, b), d);
-        self.delays.insert((b, a), d);
-        self.routers
-            .get_mut(&a)
-            .expect("added")
-            .add_session(b, policy_at_a);
-        self.routers
-            .get_mut(&b)
-            .expect("added")
-            .add_session(a, policy_at_b);
+        let ia = self.router_index(a);
+        let ib = self.router_index(b);
+        let delay = delay.unwrap_or(self.config.default_link_delay);
+        let router_a = &self.routers[ia as usize];
+        let link = match router_a.slot(b) {
+            Some(slot) => router_a.link(slot),
+            None => {
+                let link = u32::try_from(self.links.len()).expect("fewer than 2^32 links");
+                for (from, to) in [(ia, ib), (ib, ia)] {
+                    self.links.push(Link {
+                        from,
+                        to,
+                        slot: 0,
+                        delay,
+                        horizon: SimTime::ZERO,
+                        down: false,
+                    });
+                }
+                link
+            }
+        };
+        for (link, policy) in [(link, policy_at_a), (link ^ 1, policy_at_b)] {
+            let l = &mut self.links[link as usize];
+            l.delay = delay;
+            let (from, peer) = (l.from, self.routers[l.to as usize].asn());
+            let router = &mut self.routers[from as usize];
+            for slot in router.add_session_on(peer, link, policy) {
+                self.links[router.link(slot) as usize].slot = slot as u32;
+            }
+        }
     }
 
     /// Mark `asn` as a vantage point whose Loc-RIB changes are recorded.
     pub fn attach_tap(&mut self, asn: AsId) {
-        assert!(self.routers.contains_key(&asn), "tap on unknown {asn}");
-        self.taps.insert(asn);
+        let Some(&i) = self.index.get(&asn) else {
+            panic!("tap on unknown {asn}");
+        };
+        let (word, bit) = (i as usize / 64, i % 64);
+        if word >= self.taps.len() {
+            self.taps.resize(word + 1, 0);
+        }
+        self.taps[word] |= 1 << bit;
+    }
+
+    fn is_tap(&self, router: u32) -> bool {
+        self.taps
+            .get(router as usize / 64)
+            .is_some_and(|w| w >> (router % 64) & 1 == 1)
     }
 
     /// Immutable access to a router.
     pub fn router(&self, asn: AsId) -> Option<&Router> {
-        self.routers.get(&asn)
+        self.index.get(&asn).map(|&i| &self.routers[i as usize])
     }
 
-    /// Mutable access to a router (for test instrumentation).
-    pub fn router_mut(&mut self, asn: AsId) -> Option<&mut Router> {
-        self.routers.get_mut(&asn)
-    }
-
-    /// All AS numbers in the network.
+    /// All AS numbers in the network, in ascending order.
     pub fn as_ids(&self) -> Vec<AsId> {
-        self.routers.keys().copied().collect()
+        self.index.keys().copied().collect()
     }
 
     /// Current simulated time.
@@ -356,6 +434,13 @@ impl Network {
         &self.stats
     }
 
+    /// Distinct AS paths the routers have built for export, summed over
+    /// routers. Each is allocated once and shared by every RIB entry and
+    /// update that carries it.
+    fn interned_paths(&self) -> u64 {
+        self.routers.iter().map(|r| r.interned_paths() as u64).sum()
+    }
+
     /// The deepest the event queue has ever been.
     pub fn queue_depth_high_water(&self) -> usize {
         self.queue.depth_high_water()
@@ -370,7 +455,8 @@ impl Network {
             .counter("updates_delivered", self.delivered)
             .counter("updates_announced", self.stats.updates_announced)
             .counter("updates_withdrawn", self.stats.updates_withdrawn)
-            .counter("mrai_deferrals", self.stats.mrai_deferrals);
+            .counter("mrai_deferrals", self.stats.mrai_deferrals)
+            .counter("interned_paths", self.interned_paths());
         for (name, profile) in &self.stats.rfd {
             section
                 .counter(&format!("rfd_suppressions.{name}"), profile.suppressions)
@@ -383,8 +469,11 @@ impl Network {
 
     /// Schedule an origination (announcement) of `prefix` at `router`.
     /// With `stamp`, the announcement carries an aggregator timestamp equal
-    /// to the fire time — the beacon convention.
+    /// to the fire time — the beacon convention. An origination at an AS
+    /// the network does not have when this is called does nothing when it
+    /// fires.
     pub fn schedule_announce(&mut self, at: SimTime, router: AsId, prefix: Prefix, stamp: bool) {
+        let router = self.index.get(&router).copied().unwrap_or(NO_ROUTER);
         self.queue.schedule_at(
             at,
             NetEvent::Originate {
@@ -395,8 +484,11 @@ impl Network {
         );
     }
 
-    /// Schedule a withdrawal of a locally-originated `prefix`.
+    /// Schedule a withdrawal of a locally-originated `prefix` (a no-op
+    /// when it fires, like [`Network::schedule_announce`], at an unknown
+    /// AS).
     pub fn schedule_withdraw(&mut self, at: SimTime, router: AsId, prefix: Prefix) {
+        let router = self.index.get(&router).copied().unwrap_or(NO_ROUTER);
         self.queue
             .schedule_at(at, NetEvent::WithdrawOrigin { router, prefix });
     }
@@ -428,21 +520,37 @@ impl Network {
     }
 
     fn dispatch(&mut self, now: SimTime, ev: NetEvent) {
-        // Which (peer, prefix) session any RFD transition in the output
-        // belongs to — only deliveries and reuse timers can flip RFD
-        // state, and both name the session up front.
-        let mut rfd_session: Option<(AsId, Prefix)> = None;
-        let (router_id, output) = match ev {
-            NetEvent::Deliver { from, to, update } => {
-                // A down session drops traffic on the floor. The set is
-                // empty unless a fault plan injected resets, so the
-                // fault-free path costs exactly this one branch.
-                if !self.down_links.is_empty() && self.down_links.contains(&(from, to)) {
+        // The output buffer is reused across events; `apply_output`
+        // leaves it empty.
+        let mut out = std::mem::take(&mut self.out);
+        if let Some((router, rfd_session)) = self.handle(now, ev, &mut out) {
+            self.apply_output(now, router, rfd_session, &mut out);
+        }
+        self.out = out;
+    }
+
+    /// Hand one event to its router. Returns the router whose output
+    /// `out` now holds, and the (slot, prefix) session any RFD transition
+    /// in it belongs to — only deliveries and reuse timers can flip RFD
+    /// state, and both name the session up front. `None` when no router
+    /// output is pending.
+    fn handle(
+        &mut self,
+        now: SimTime,
+        ev: NetEvent,
+        out: &mut RouterOutput,
+    ) -> Option<(u32, Option<(usize, Prefix)>)> {
+        match ev {
+            NetEvent::Deliver { link, update } => {
+                let Link { to, down, .. } = self.links[link as usize];
+                // A down session drops traffic on the floor. Only a fault
+                // plan ever takes a session down.
+                if down {
                     self.fault_counters.updates_dropped_down += 1;
                     if self.trace.is_some() {
-                        self.trace_fault(now, from, to, "update_dropped");
+                        self.trace_fault(now, link, "update_dropped");
                     }
-                    return;
+                    return None;
                 }
                 self.delivered += 1;
                 if update.action.is_announce() {
@@ -450,160 +558,128 @@ impl Network {
                 } else {
                     self.stats.updates_withdrawn += 1;
                 }
-                rfd_session = Some((from, update.prefix));
-                let Some(r) = self.routers.get_mut(&to) else {
-                    return;
-                };
-                (to, r.handle_update(from, update, now))
+                // The receiver's slot for the sender is the reverse
+                // direction's slot.
+                let slot = self.links[link as usize ^ 1].slot as usize;
+                let prefix = update.prefix;
+                self.routers[to as usize].handle_update_at(slot, update, now, out);
+                Some((to, Some((slot, prefix))))
             }
-            NetEvent::MraiExpire {
-                router,
-                peer,
-                prefix,
-            } => {
-                let Some(r) = self.routers.get_mut(&router) else {
-                    return;
-                };
-                (router, r.mrai_expired(peer, prefix, now))
+            NetEvent::MraiExpire { link, prefix } => {
+                let Link { from, slot, .. } = self.links[link as usize];
+                self.routers[from as usize].mrai_expired_at(slot as usize, prefix, now, out);
+                Some((from, None))
             }
-            NetEvent::RfdReuse {
-                router,
-                peer,
-                prefix,
-            } => {
-                rfd_session = Some((peer, prefix));
-                let Some(r) = self.routers.get_mut(&router) else {
-                    return;
-                };
-                (router, r.rfd_reuse_fired(peer, prefix, now))
+            NetEvent::RfdReuse { link, prefix } => {
+                let Link { from, slot, .. } = self.links[link as usize];
+                let slot = slot as usize;
+                self.routers[from as usize].rfd_reuse_at(slot, prefix, now, out);
+                Some((from, Some((slot, prefix))))
             }
             NetEvent::Originate {
                 router,
                 prefix,
                 stamp,
             } => {
-                let Some(r) = self.routers.get_mut(&router) else {
-                    return;
-                };
+                let r = self.routers.get_mut(router as usize)?;
                 let aggregator = stamp.then(|| AggregatorStamp::new(now));
-                (router, r.originate(prefix, aggregator, now))
+                r.originate_into(prefix, aggregator, now, out);
+                Some((router, None))
             }
             NetEvent::WithdrawOrigin { router, prefix } => {
-                let Some(r) = self.routers.get_mut(&router) else {
-                    return;
-                };
-                (router, r.withdraw_origin(prefix, now))
+                let r = self.routers.get_mut(router as usize)?;
+                r.withdraw_origin_into(prefix, now, out);
+                Some((router, None))
             }
-            NetEvent::SessionDown { a, b } => {
-                self.session_transition(now, a, b, false);
-                return;
+            NetEvent::SessionDown { link } => {
+                self.session_transition(now, link, false);
+                None
             }
-            NetEvent::SessionUp { a, b } => {
-                self.session_transition(now, a, b, true);
-                return;
+            NetEvent::SessionUp { link } => {
+                self.session_transition(now, link, true);
+                None
             }
-        };
-
-        self.apply_output(now, router_id, rfd_session, output);
+        }
     }
 
-    /// Drive one endpoint pair through a session reset transition and
+    /// Drive both ends of `link`'s session through a reset transition and
     /// apply each affected prefix's router output individually (so every
     /// Loc-RIB change reaches the tap log).
-    fn session_transition(&mut self, now: SimTime, a: AsId, b: AsId, up: bool) {
-        if up {
-            self.down_links.remove(&(a, b));
-            self.down_links.remove(&(b, a));
-        } else {
-            self.down_links.insert((a, b));
-            self.down_links.insert((b, a));
+    fn session_transition(&mut self, now: SimTime, link: u32, up: bool) {
+        for l in [link, link ^ 1] {
+            self.links[l as usize].down = !up;
+        }
+        if !up {
             self.fault_counters.session_resets += 1;
         }
         if self.trace.is_some() {
-            self.trace_fault(now, a, b, if up { "session_up" } else { "session_down" });
+            self.trace_fault(now, link, if up { "session_up" } else { "session_down" });
         }
-        for (router_id, peer) in [(a, b), (b, a)] {
-            let Some(r) = self.routers.get_mut(&router_id) else {
-                continue;
-            };
+        for l in [link, link ^ 1] {
+            let Link { from, to, slot, .. } = self.links[l as usize];
+            let peer = self.asn(to);
+            let r = &mut self.routers[from as usize];
             let outs = if up {
                 r.session_up(peer, now)
             } else {
                 r.session_down(peer, now)
             };
-            for (prefix, output) in outs {
-                self.apply_output(now, router_id, Some((peer, prefix)), output);
+            for (prefix, mut output) in outs {
+                self.apply_output(now, from, Some((slot as usize, prefix)), &mut output);
             }
         }
     }
 
     /// Translate one router output into scheduled events, stats, trace
-    /// records and tap-log entries.
+    /// records and tap-log entries, leaving `output` empty.
     fn apply_output(
         &mut self,
         now: SimTime,
-        router_id: AsId,
-        rfd_session: Option<(AsId, Prefix)>,
-        output: crate::router::RouterOutput,
+        router: u32,
+        rfd_session: Option<(usize, Prefix)>,
+        output: &mut RouterOutput,
     ) {
-        self.stats.mrai_deferrals += u64::from(output.mrai_deferrals);
         if self.trace.is_some() {
-            self.trace_output(now, router_id, rfd_session, &output);
+            self.trace_output(now, router, rfd_session, output);
         }
-        if output.rfd_suppressed || output.rfd_released {
+        self.stats.mrai_deferrals += u64::from(std::mem::take(&mut output.mrai_deferrals));
+        let suppressed = std::mem::take(&mut output.rfd_suppressed);
+        let released = std::mem::take(&mut output.rfd_released);
+        if suppressed || released {
+            let r = &self.routers[router as usize];
             let name = rfd_session
-                .and_then(|(peer, prefix)| {
-                    self.routers
-                        .get(&router_id)?
-                        .session_policy(peer)?
-                        .rfd_for(prefix)
-                })
+                .and_then(|(slot, prefix)| r.policy(slot).rfd_for(prefix))
                 .map_or("custom", |params| params.profile_name());
             let profile = self.stats.rfd.entry(name).or_default();
-            if output.rfd_suppressed {
+            if suppressed {
                 profile.suppressions += 1;
             }
-            if output.rfd_released {
+            if released {
                 profile.releases += 1;
             }
         }
 
         // Translate the router's requests into events.
-        for (peer, update) in output.sends {
-            let delivery = self.delivery_time(router_id, peer, now);
-            self.queue.schedule_at(
-                delivery,
-                NetEvent::Deliver {
-                    from: router_id,
-                    to: peer,
-                    update,
-                },
-            );
+        for (slot, update) in output.sends.drain(..) {
+            let link = self.routers[router as usize].link(slot);
+            let delivery = self.delivery_time(link, now);
+            self.queue
+                .schedule_at(delivery, NetEvent::Deliver { link, update });
         }
-        for (peer, prefix, at) in output.mrai_timers {
-            self.queue.schedule_at(
-                at.max(now),
-                NetEvent::MraiExpire {
-                    router: router_id,
-                    peer,
-                    prefix,
-                },
-            );
+        for (slot, prefix, at) in output.mrai_timers.drain(..) {
+            let link = self.routers[router as usize].link(slot);
+            self.queue
+                .schedule_at(at.max(now), NetEvent::MraiExpire { link, prefix });
         }
-        for (peer, prefix, at) in output.rfd_timers {
-            self.queue.schedule_at(
-                at.max(now),
-                NetEvent::RfdReuse {
-                    router: router_id,
-                    peer,
-                    prefix,
-                },
-            );
+        for (slot, prefix, at) in output.rfd_timers.drain(..) {
+            let link = self.routers[router as usize].link(slot);
+            self.queue
+                .schedule_at(at.max(now), NetEvent::RfdReuse { link, prefix });
         }
-        if let Some(change) = output.loc_rib_change {
-            if self.taps.contains(&router_id) {
+        if let Some(change) = output.loc_rib_change.take() {
+            if self.is_tap(router) {
                 self.tap_log.push(TapRecord {
-                    vantage: router_id,
+                    vantage: self.asn(router),
                     time: now,
                     prefix: change.prefix,
                     route: change.route,
@@ -618,10 +694,12 @@ impl Network {
     fn trace_output(
         &mut self,
         now: SimTime,
-        router_id: AsId,
-        rfd_session: Option<(AsId, Prefix)>,
-        output: &crate::router::RouterOutput,
+        router: u32,
+        rfd_session: Option<(usize, Prefix)>,
+        output: &RouterOutput,
     ) {
+        let r = &self.routers[router as usize];
+        let router_id = r.asn();
         let trace = self.trace.as_mut().expect("caller checked");
         let now_ms = now.as_millis();
         if output.mrai_deferrals > 0 {
@@ -638,16 +716,13 @@ impl Network {
                 f64::from(output.mrai_deferrals),
             );
         }
-        let Some((peer, prefix)) = rfd_session else {
+        let Some((slot, prefix)) = rfd_session else {
             return;
         };
+        let peer = r.neighbor_asn(slot);
         // Only damped sessions get a lane; `rfd_penalty` is `None` when
         // the session has no RFD configured.
-        let Some(penalty) = self
-            .routers
-            .get(&router_id)
-            .and_then(|r| r.rfd_penalty(peer, prefix, now))
-        else {
+        let Some(penalty) = r.rfd_penalty(peer, prefix, now) else {
             return;
         };
         let next = self.rfd_lanes.len() as u32;
@@ -678,10 +753,12 @@ impl Network {
         }
     }
 
-    /// Record an injected fault on the link's interned fault lane. Only
+    /// Record an injected fault on the session's interned fault lane. Only
     /// called when a trace is attached (callers check), keeping the
     /// untraced path at one branch.
-    fn trace_fault(&mut self, now: SimTime, a: AsId, b: AsId, what: &'static str) {
+    fn trace_fault(&mut self, now: SimTime, link: u32, what: &'static str) {
+        let l = &self.links[link as usize];
+        let (a, b) = (self.asn(l.from), self.asn(l.to));
         let trace = self.trace.as_mut().expect("caller checked");
         let key = if a <= b { (a, b) } else { (b, a) };
         let next = self.fault_lanes.len() as u32;
@@ -693,13 +770,9 @@ impl Network {
         trace.instant_sim(what, lane, now.as_millis());
     }
 
-    /// Jittered delivery time that preserves per-link FIFO order.
-    fn delivery_time(&mut self, from: AsId, to: AsId, now: SimTime) -> SimTime {
-        let base = self
-            .delays
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(self.config.default_link_delay);
+    /// Jittered delivery time over `link` that preserves its FIFO order.
+    fn delivery_time(&mut self, link: u32, now: SimTime) -> SimTime {
+        let base = self.links[link as usize].delay;
         let jitter = 1.0 + self.config.jitter * self.rng.uniform();
         let (proc_lo, proc_hi) = self.config.processing_delay;
         let processing = if proc_hi > proc_lo {
@@ -709,7 +782,7 @@ impl Network {
             proc_lo
         };
         let mut t = now + base.mul_f64(jitter) + processing;
-        let horizon = self.link_horizon.entry((from, to)).or_insert(SimTime::ZERO);
+        let horizon = &mut self.links[link as usize].horizon;
         if t < *horizon {
             t = *horizon;
         }
@@ -721,6 +794,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::AsPath;
     use crate::policy::Relationship;
     use crate::rfd::VendorProfile;
     use crate::router::Selection;
@@ -1129,6 +1203,161 @@ mod tests {
         net.run_to_quiescence();
         assert!(net.trace().is_none());
         assert!(net.take_trace().is_none());
+    }
+
+    /// The damped line (Cisco RFD at AS30's session to AS20) after
+    /// `cycles` withdraw/announce beacon cycles, one event a minute.
+    fn damped_line_after(cycles: u64) -> Network {
+        let mut net = Network::new(cfg());
+        net.connect(
+            AsId(10),
+            AsId(20),
+            SessionPolicy::plain(Relationship::Provider),
+            SessionPolicy::plain(Relationship::Customer),
+            None,
+        );
+        net.connect(
+            AsId(20),
+            AsId(30),
+            SessionPolicy::plain(Relationship::Provider),
+            SessionPolicy::plain(Relationship::Customer).with_rfd(VendorProfile::Cisco.params()),
+            None,
+        );
+        net.attach_tap(AsId(30));
+        for i in 0..2 * cycles {
+            if i % 2 == 0 {
+                net.schedule_withdraw(SimTime::from_mins(i), AsId(10), pfx());
+            } else {
+                net.schedule_announce(SimTime::from_mins(i), AsId(10), pfx(), true);
+            }
+        }
+        net.run_to_quiescence();
+        net
+    }
+
+    #[test]
+    fn interned_paths_stay_bounded_under_flapping() {
+        let short = damped_line_after(60);
+        let long = damped_line_after(120);
+        assert!(long.delivered() > short.delivered());
+        assert!(short.interned_paths() > 0);
+        assert_eq!(
+            long.interned_paths(),
+            short.interned_paths(),
+            "the path memo must not grow with the number of flaps"
+        );
+        let mut report = obs::RunReport::new("t");
+        long.export_obs(&mut report);
+        assert!(matches!(
+            report.get("bgpsim.network").unwrap().get("interned_paths"),
+            Some(obs::Value::Counter(n)) if *n == long.interned_paths()
+        ));
+        // Every record at the vantage point shares the one interned path.
+        let paths: Vec<&AsPath> = long
+            .tap_log()
+            .iter()
+            .filter_map(|r| r.route.as_ref().map(|r| &r.path))
+            .collect();
+        assert!(paths.windows(2).all(|w| w[0].addr() == w[1].addr()));
+    }
+
+    #[test]
+    fn as_ids_are_sorted_whatever_the_insertion_order() {
+        let mut net = Network::new(cfg());
+        net.add_router(AsId(30));
+        net.connect(
+            AsId(20),
+            AsId(5),
+            SessionPolicy::plain(Relationship::Provider),
+            SessionPolicy::plain(Relationship::Customer),
+            None,
+        );
+        net.add_router(AsId(10));
+        net.add_router(AsId(30));
+        assert_eq!(net.as_ids(), vec![AsId(5), AsId(10), AsId(20), AsId(30)]);
+        assert_eq!(net.router(AsId(20)).unwrap().asn(), AsId(20));
+        assert!(net.router(AsId(7)).is_none());
+    }
+
+    #[test]
+    fn reconnecting_a_pair_updates_its_delay_without_a_second_link() {
+        let mut net = Network::new(cfg());
+        let peer = SessionPolicy::plain(Relationship::Peer);
+        // AS2's session to AS1 is inserted before its session to AS3,
+        // moving that one to the next slot.
+        net.connect(AsId(3), AsId(2), peer, peer, None);
+        net.connect(AsId(1), AsId(2), peer, peer, None);
+        net.connect(
+            AsId(2),
+            AsId(1),
+            peer,
+            peer,
+            Some(SimDuration::from_millis(200)),
+        );
+        assert_eq!(net.links.len(), 4, "two sessions, two directions each");
+        assert_eq!(
+            net.router(AsId(2)).unwrap().neighbor_ids(),
+            vec![AsId(1), AsId(3)]
+        );
+        // Every link's slot still names its receiver.
+        for l in &net.links {
+            let sender = &net.routers[l.from as usize];
+            assert_eq!(sender.neighbor_asn(l.slot as usize), net.asn(l.to));
+        }
+        net.attach_tap(AsId(2));
+        net.schedule_announce(SimTime::ZERO, AsId(1), pfx(), false);
+        net.run_to_quiescence();
+        assert_eq!(net.tap_log()[0].time, SimTime::from_millis(200));
+    }
+
+    #[test]
+    fn origination_at_an_unknown_as_is_a_processed_no_op() {
+        let mut net = line();
+        net.attach_tap(AsId(30));
+        net.schedule_announce(SimTime::ZERO, AsId(99), pfx(), true);
+        net.schedule_withdraw(SimTime::from_secs(1), AsId(99), pfx());
+        assert_eq!(net.run_to_quiescence(), 2);
+        assert_eq!(net.events_processed(), 2);
+        assert_eq!(net.delivered(), 0);
+        assert!(net.tap_log().is_empty());
+        assert_eq!(net.as_ids(), vec![AsId(10), AsId(20), AsId(30)]);
+        for asn in net.as_ids() {
+            assert!(net.router(asn).unwrap().best(pfx()).is_none());
+        }
+        assert_eq!(net.interned_paths(), 0);
+    }
+
+    #[test]
+    fn apply_faults_resets_sessions_in_as_order() {
+        use netsim::faults::{FaultPlan, FaultSpec};
+        // Sessions connected out of order, some from the higher AS.
+        let mut net = Network::new(cfg());
+        let peer = SessionPolicy::plain(Relationship::Peer);
+        for (a, b) in [(30, 20), (10, 40), (20, 10), (40, 30), (10, 30)] {
+            net.connect(AsId(a), AsId(b), peer, peer, None);
+        }
+        let plan = FaultPlan::new(FaultSpec {
+            session_reset_rate: 1.0,
+            session_reset_duration: SimDuration::from_mins(2),
+            seed: 11,
+            ..FaultSpec::default()
+        });
+        // A 1 ms horizon starts every reset at t = 0, so the resets pop in
+        // the order they were scheduled.
+        net.apply_faults(&plan, SimDuration::from_millis(1));
+        let mut downs = Vec::new();
+        while let Some((at, ev)) = net.queue.pop() {
+            if let NetEvent::SessionDown { link } = ev {
+                assert_eq!(at, SimTime::ZERO);
+                let l = &net.links[link as usize];
+                downs.push((net.asn(l.from).0, net.asn(l.to).0));
+            }
+        }
+        assert_eq!(
+            downs,
+            vec![(10, 20), (10, 30), (10, 40), (20, 30), (30, 40)],
+            "each session once, from its lower AS, in (AS, AS) order"
+        );
     }
 
     #[test]

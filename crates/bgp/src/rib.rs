@@ -1,20 +1,18 @@
 //! Routing Information Bases.
 //!
-//! Each router keeps one [`AdjRibIn`] per neighbor — the last route that
-//! neighbor advertised per prefix, together with its [`RfdState`] — and a
-//! Loc-RIB of selected best routes (owned by [`crate::router::Router`]).
-//! Crucially for RFD semantics, the Adj-RIB-In keeps tracking updates for
-//! a *suppressed* route: the penalty keeps growing with continued flaps
-//! and the stored route is re-evaluated (not re-requested) on release.
-
-use std::collections::BTreeMap;
+//! For every prefix, a [`crate::router::Router`] keeps one Adj-RIB-In
+//! [`AdjEntry`] per neighbor — the last route that neighbor advertised,
+//! together with its [`RfdState`] — next to its Loc-RIB selection and
+//! Adj-RIB-Out. Crucially for RFD semantics, the Adj-RIB-In keeps
+//! tracking updates for a *suppressed* route: the penalty keeps growing
+//! with continued flaps and the stored route is re-evaluated (not
+//! re-requested) on release.
 
 use serde::{Deserialize, Serialize};
 
 use netsim::SimTime;
 
 use crate::message::{AggregatorStamp, AsPath};
-use crate::prefix::Prefix;
 use crate::rfd::{FlapKind, RfdState};
 
 /// A route as stored in a RIB: path plus the transitive beacon stamp.
@@ -50,74 +48,34 @@ impl AdjEntry {
             self.route.as_ref()
         }
     }
-}
-
-/// One neighbor's Adj-RIB-In over all prefixes.
-#[derive(Clone, Debug, Default)]
-pub struct AdjRibIn {
-    entries: BTreeMap<Prefix, AdjEntry>,
-}
-
-impl AdjRibIn {
-    /// Empty RIB.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The entry for `prefix`, if the prefix was ever seen.
-    pub fn get(&self, prefix: Prefix) -> Option<&AdjEntry> {
-        self.entries.get(&prefix)
-    }
-
-    /// Mutable entry access (creates a default entry on first touch).
-    pub fn entry(&mut self, prefix: Prefix) -> &mut AdjEntry {
-        self.entries.entry(prefix).or_default()
-    }
-
-    /// Mutable access without creating (for timer paths).
-    pub fn get_mut(&mut self, prefix: Prefix) -> Option<&mut AdjEntry> {
-        self.entries.get_mut(&prefix)
-    }
 
     /// Apply an announcement, classifying the flap it represents.
     /// Returns the classification and whether the stored route changed.
-    pub fn apply_announce(
-        &mut self,
-        prefix: Prefix,
-        route: Route,
-        now: SimTime,
-    ) -> (FlapKind, bool) {
-        let entry = self.entry(prefix);
-        let kind = match (&entry.route, entry.ever_announced) {
+    pub fn apply_announce(&mut self, route: Route, now: SimTime) -> (FlapKind, bool) {
+        let kind = match (&self.route, self.ever_announced) {
             (Some(old), _) if *old == route => FlapKind::Duplicate,
             (Some(_), _) => FlapKind::AttributeChange,
             (None, true) => FlapKind::Readvertisement,
             (None, false) => FlapKind::InitialAdvertisement,
         };
-        let changed = entry.route.as_ref() != Some(&route);
-        entry.route = Some(route);
-        entry.ever_announced = true;
-        entry.learned_at = now;
+        let changed = self.route.as_ref() != Some(&route);
+        self.route = Some(route);
+        self.ever_announced = true;
+        self.learned_at = now;
         (kind, changed)
     }
 
     /// Apply a withdrawal. Returns the flap classification ([`FlapKind::Withdrawal`]
     /// when a route was actually removed, [`FlapKind::Duplicate`] otherwise)
     /// and whether anything changed.
-    pub fn apply_withdraw(&mut self, prefix: Prefix, now: SimTime) -> (FlapKind, bool) {
-        let entry = self.entry(prefix);
-        if entry.route.is_some() {
-            entry.route = None;
-            entry.learned_at = now;
+    pub fn apply_withdraw(&mut self, now: SimTime) -> (FlapKind, bool) {
+        if self.route.is_some() {
+            self.route = None;
+            self.learned_at = now;
             (FlapKind::Withdrawal, true)
         } else {
             (FlapKind::Duplicate, false)
         }
-    }
-
-    /// Iterate all entries (deterministic prefix order).
-    pub fn iter(&self) -> impl Iterator<Item = (&Prefix, &AdjEntry)> {
-        self.entries.iter()
     }
 }
 
@@ -125,10 +83,6 @@ impl AdjRibIn {
 mod tests {
     use super::*;
     use crate::message::AsId;
-
-    fn pfx() -> Prefix {
-        "10.0.0.0/24".parse().unwrap()
-    }
 
     fn route(tag: u32) -> Route {
         Route {
@@ -139,45 +93,45 @@ mod tests {
 
     #[test]
     fn first_announcement_is_initial() {
-        let mut rib = AdjRibIn::new();
-        let (kind, changed) = rib.apply_announce(pfx(), route(1), SimTime::ZERO);
+        let mut entry = AdjEntry::default();
+        let (kind, changed) = entry.apply_announce(route(1), SimTime::ZERO);
         assert_eq!(kind, FlapKind::InitialAdvertisement);
         assert!(changed);
     }
 
     #[test]
     fn same_route_again_is_duplicate() {
-        let mut rib = AdjRibIn::new();
-        rib.apply_announce(pfx(), route(1), SimTime::ZERO);
-        let (kind, changed) = rib.apply_announce(pfx(), route(1), SimTime::from_secs(1));
+        let mut entry = AdjEntry::default();
+        entry.apply_announce(route(1), SimTime::ZERO);
+        let (kind, changed) = entry.apply_announce(route(1), SimTime::from_secs(1));
         assert_eq!(kind, FlapKind::Duplicate);
         assert!(!changed);
     }
 
     #[test]
     fn different_route_is_attribute_change() {
-        let mut rib = AdjRibIn::new();
-        rib.apply_announce(pfx(), route(1), SimTime::ZERO);
-        let (kind, changed) = rib.apply_announce(pfx(), route(2), SimTime::from_secs(1));
+        let mut entry = AdjEntry::default();
+        entry.apply_announce(route(1), SimTime::ZERO);
+        let (kind, changed) = entry.apply_announce(route(2), SimTime::from_secs(1));
         assert_eq!(kind, FlapKind::AttributeChange);
         assert!(changed);
     }
 
     #[test]
     fn withdraw_then_announce_is_readvertisement() {
-        let mut rib = AdjRibIn::new();
-        rib.apply_announce(pfx(), route(1), SimTime::ZERO);
-        let (kind, changed) = rib.apply_withdraw(pfx(), SimTime::from_secs(1));
+        let mut entry = AdjEntry::default();
+        entry.apply_announce(route(1), SimTime::ZERO);
+        let (kind, changed) = entry.apply_withdraw(SimTime::from_secs(1));
         assert_eq!(kind, FlapKind::Withdrawal);
         assert!(changed);
-        let (kind, _) = rib.apply_announce(pfx(), route(1), SimTime::from_secs(2));
+        let (kind, _) = entry.apply_announce(route(1), SimTime::from_secs(2));
         assert_eq!(kind, FlapKind::Readvertisement);
     }
 
     #[test]
-    fn withdraw_of_unknown_prefix_is_duplicate() {
-        let mut rib = AdjRibIn::new();
-        let (kind, changed) = rib.apply_withdraw(pfx(), SimTime::ZERO);
+    fn withdraw_without_route_is_duplicate() {
+        let mut entry = AdjEntry::default();
+        let (kind, changed) = entry.apply_withdraw(SimTime::ZERO);
         assert_eq!(kind, FlapKind::Duplicate);
         assert!(!changed);
     }
@@ -186,19 +140,15 @@ mod tests {
     fn suppressed_route_is_unusable_but_kept() {
         use crate::rfd::{FlapKind as FK, VendorProfile};
         let params = VendorProfile::Cisco.params();
-        let mut rib = AdjRibIn::new();
-        rib.apply_announce(pfx(), route(1), SimTime::ZERO);
-        let entry = rib.get_mut(pfx()).unwrap();
+        let mut entry = AdjEntry::default();
+        entry.apply_announce(route(1), SimTime::ZERO);
         // Hammer the penalty until suppression.
         let mut t = SimTime::ZERO;
         while !entry.rfd.is_suppressed() {
             entry.rfd.record(FK::Withdrawal, t, &params);
             t += netsim::SimDuration::from_secs(10);
         }
-        assert!(rib.get(pfx()).unwrap().usable().is_none());
-        assert!(
-            rib.get(pfx()).unwrap().route.is_some(),
-            "route kept while suppressed"
-        );
+        assert!(entry.usable().is_none());
+        assert!(entry.route.is_some(), "route kept while suppressed");
     }
 }

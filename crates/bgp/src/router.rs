@@ -20,7 +20,9 @@
 //! 5. export diffing against the per-neighbor Adj-RIB-Out under the
 //!    Gao–Rexford filter, with MRAI gating on announcements.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 use netsim::SimTime;
 
@@ -29,8 +31,12 @@ use crate::message::{AggregatorStamp, AsId, AsPath, BgpAction, BgpUpdate};
 use crate::mrai::{MraiGate, MraiVerdict};
 use crate::policy::{ExportPolicy, Relationship, SessionPolicy};
 use crate::prefix::Prefix;
+use crate::prefix_map::PrefixMap;
 use crate::rfd::{FlapKind, RfdTransition};
-use crate::rib::{AdjRibIn, Route};
+use crate::rib::{AdjEntry, Route};
+
+/// The link id of a session on a router that no network owns.
+pub(crate) const NO_LINK: u32 = u32::MAX;
 
 /// What a router selected for a prefix.
 #[derive(Clone, Debug, PartialEq)]
@@ -49,23 +55,6 @@ pub enum Selection {
     },
 }
 
-impl Selection {
-    /// The route as this router would describe it to an observer peering
-    /// with it (own ASN prepended) — the view a route collector records.
-    pub fn exported_view(&self, own: AsId) -> Route {
-        match self {
-            Selection::Local { aggregator } => Route {
-                path: AsPath::from_slice(&[own]),
-                aggregator: *aggregator,
-            },
-            Selection::Learned { route, .. } => Route {
-                path: route.path.prepend(own, 1),
-                aggregator: route.aggregator,
-            },
-        }
-    }
-}
-
 /// A Loc-RIB change, reported so vantage-point taps can record it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LocRibChange {
@@ -76,14 +65,18 @@ pub struct LocRibChange {
 }
 
 /// Everything a router wants done after processing one input.
+///
+/// Peers are named by their *slot*: the position of the session in the
+/// router's session list, which is sorted by peer AS number
+/// ([`Router::neighbor_asn`] maps a slot back to the AS).
 #[derive(Debug, Default)]
 pub struct RouterOutput {
-    /// Updates to deliver to neighbors (after link delay).
-    pub sends: Vec<(AsId, BgpUpdate)>,
-    /// MRAI expiry timers to arm: (peer, prefix, fire-at).
-    pub mrai_timers: Vec<(AsId, Prefix, SimTime)>,
-    /// RFD reuse timers to arm: (peer, prefix, fire-at).
-    pub rfd_timers: Vec<(AsId, Prefix, SimTime)>,
+    /// Updates to deliver to neighbors (after link delay): (slot, update).
+    pub sends: Vec<(usize, BgpUpdate)>,
+    /// MRAI expiry timers to arm: (slot, prefix, fire-at).
+    pub mrai_timers: Vec<(usize, Prefix, SimTime)>,
+    /// RFD reuse timers to arm: (slot, prefix, fire-at).
+    pub rfd_timers: Vec<(usize, Prefix, SimTime)>,
     /// The Loc-RIB change, if the best route moved.
     pub loc_rib_change: Option<LocRibChange>,
     /// Announcements the MRAI gate deferred while processing this input.
@@ -94,35 +87,112 @@ pub struct RouterOutput {
     pub rfd_released: bool,
 }
 
-impl RouterOutput {
-    fn merge(&mut self, mut other: RouterOutput) {
-        self.sends.append(&mut other.sends);
-        self.mrai_timers.append(&mut other.mrai_timers);
-        self.rfd_timers.append(&mut other.rfd_timers);
-        if other.loc_rib_change.is_some() {
-            self.loc_rib_change = other.loc_rib_change;
+#[derive(Debug)]
+struct Session {
+    asn: AsId,
+    /// The owning network's directed link towards `asn` ([`NO_LINK`] on
+    /// a standalone router).
+    link: u32,
+    policy: SessionPolicy,
+    mrai: MraiGate,
+}
+
+/// A router's state for one prefix. The per-session tables are indexed
+/// by slot, so the decision process and the export diff each scan one
+/// contiguous array.
+#[derive(Debug, Default)]
+struct PrefixState {
+    /// Adj-RIB-In: each neighbor's route, with its damping state.
+    adj_in: Vec<AdjEntry>,
+    /// Adj-RIB-Out: the route last advertised to each neighbor.
+    adj_out: Vec<Option<Route>>,
+    /// The stamp of the local origination, if the router originates it.
+    originated: Option<Option<AggregatorStamp>>,
+    /// Loc-RIB: the selected best route.
+    best: Option<Selection>,
+}
+
+/// Exported paths, hash-consed per router.
+///
+/// A router prepends its own ASN to every path it exports, so memoising
+/// (learned path, prepend count) → exported path allocates each distinct
+/// path of a run once, and the Loc-RIB view, every Adj-RIB-Out entry and
+/// every in-flight update share it. The memo is keyed by the learned
+/// path's address; it holds the learned path, so that address cannot be
+/// reused while the entry exists.
+#[derive(Debug, Default)]
+struct PathMemo {
+    /// The one-hop path `[own ASN]` of locally originated routes.
+    own: Option<AsPath>,
+    prepended: HashMap<(usize, usize), (AsPath, AsPath), BuildHasherDefault<AddrHasher>>,
+}
+
+impl PathMemo {
+    fn prepend(&mut self, path: &AsPath, asn: AsId, count: usize) -> AsPath {
+        let (_, exported) = self
+            .prepended
+            .entry((path.addr(), count))
+            .or_insert_with(|| (path.clone(), path.prepend(asn, count)));
+        exported.clone()
+    }
+
+    /// The route as `asn` describes a selection to an observer peering
+    /// with it (own ASN prepended) — the view a route collector records.
+    fn view(&mut self, asn: AsId, selection: &Selection) -> Route {
+        match selection {
+            Selection::Local { aggregator } => Route {
+                path: self
+                    .own
+                    .get_or_insert_with(|| AsPath::from_slice(&[asn]))
+                    .clone(),
+                aggregator: *aggregator,
+            },
+            Selection::Learned { route, .. } => Route {
+                path: self.prepend(&route.path, asn, 1),
+                aggregator: route.aggregator,
+            },
         }
-        self.mrai_deferrals += other.mrai_deferrals;
-        self.rfd_suppressed |= other.rfd_suppressed;
-        self.rfd_released |= other.rfd_released;
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.own.is_some()) + self.prepended.len()
     }
 }
 
-#[derive(Debug)]
-struct Neighbor {
-    policy: SessionPolicy,
-    adj_in: AdjRibIn,
-    adj_out: BTreeMap<Prefix, Route>,
-    mrai: MraiGate,
+/// Multiplicative hashing of the memo's (address, count) keys; SipHash
+/// would cost more than the lookup it guards.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// One AS's router.
 #[derive(Debug)]
 pub struct Router {
     asn: AsId,
-    neighbors: BTreeMap<AsId, Neighbor>,
-    originated: BTreeMap<Prefix, Option<AggregatorStamp>>,
-    loc_rib: BTreeMap<Prefix, Selection>,
+    /// Sessions sorted by peer AS number: the decision process and the
+    /// export loop visit peers in this order.
+    sessions: Vec<Session>,
+    prefixes: PrefixMap<PrefixState>,
+    exports: PathMemo,
 }
 
 impl Router {
@@ -130,9 +200,9 @@ impl Router {
     pub fn new(asn: AsId) -> Self {
         Router {
             asn,
-            neighbors: BTreeMap::new(),
-            originated: BTreeMap::new(),
-            loc_rib: BTreeMap::new(),
+            sessions: Vec::new(),
+            prefixes: PrefixMap::default(),
+            exports: PathMemo::default(),
         }
     }
 
@@ -143,53 +213,122 @@ impl Router {
 
     /// Add (or reconfigure) a session to `peer`.
     pub fn add_session(&mut self, peer: AsId, policy: SessionPolicy) {
+        self.add_session_on(peer, NO_LINK, policy);
+    }
+
+    /// Add (or reconfigure, resetting its state) the session to `peer`
+    /// over directed link `link`. Returns the slots whose session is new
+    /// or moved: a new session shifts every later slot up by one.
+    pub(crate) fn add_session_on(
+        &mut self,
+        peer: AsId,
+        link: u32,
+        policy: SessionPolicy,
+    ) -> Range<usize> {
         assert_ne!(peer, self.asn, "cannot peer with self");
-        let mrai = MraiGate::new(policy.mrai);
-        self.neighbors.insert(
-            peer,
-            Neighbor {
-                policy,
-                adj_in: AdjRibIn::new(),
-                adj_out: BTreeMap::new(),
-                mrai,
-            },
-        );
+        let session = Session {
+            asn: peer,
+            link,
+            policy,
+            mrai: MraiGate::new(policy.mrai),
+        };
+        match self.sessions.binary_search_by_key(&peer, |s| s.asn) {
+            Ok(slot) => {
+                self.sessions[slot] = session;
+                for (_, state) in self.prefixes.iter_mut() {
+                    state.adj_in[slot] = AdjEntry::default();
+                    state.adj_out[slot] = None;
+                }
+                slot..slot + 1
+            }
+            Err(slot) => {
+                self.sessions.insert(slot, session);
+                for (_, state) in self.prefixes.iter_mut() {
+                    state.adj_in.insert(slot, AdjEntry::default());
+                    state.adj_out.insert(slot, None);
+                }
+                slot..self.sessions.len()
+            }
+        }
+    }
+
+    /// Room for `additional` more sessions without reallocating.
+    pub(crate) fn reserve_sessions(&mut self, additional: usize) {
+        self.sessions.reserve_exact(additional);
+    }
+
+    /// The slot of the session to `peer`, if one exists.
+    pub(crate) fn slot(&self, peer: AsId) -> Option<usize> {
+        self.sessions.binary_search_by_key(&peer, |s| s.asn).ok()
+    }
+
+    /// The directed link of the session in `slot`.
+    pub(crate) fn link(&self, slot: usize) -> u32 {
+        self.sessions[slot].link
+    }
+
+    /// The session policy in `slot`.
+    pub(crate) fn policy(&self, slot: usize) -> &SessionPolicy {
+        &self.sessions[slot].policy
     }
 
     /// The session policy towards `peer`, if a session exists.
     pub fn session_policy(&self, peer: AsId) -> Option<&SessionPolicy> {
-        self.neighbors.get(&peer).map(|n| &n.policy)
+        self.slot(peer).map(|slot| self.policy(slot))
     }
 
     /// All neighbor ASNs (deterministic order).
     pub fn neighbor_ids(&self) -> Vec<AsId> {
-        self.neighbors.keys().copied().collect()
+        self.sessions.iter().map(|s| s.asn).collect()
+    }
+
+    /// The peer AS of the session in `slot` (as named in a
+    /// [`RouterOutput`]).
+    pub fn neighbor_asn(&self, slot: usize) -> AsId {
+        self.sessions[slot].asn
     }
 
     /// The current best selection for `prefix`, if reachable.
     pub fn best(&self, prefix: Prefix) -> Option<&Selection> {
-        self.loc_rib.get(&prefix)
+        self.prefixes.get(prefix)?.best.as_ref()
+    }
+
+    /// The Adj-RIB-In entry for (peer, prefix), if the prefix was seen.
+    fn adj_in(&self, peer: AsId, prefix: Prefix) -> Option<&AdjEntry> {
+        Some(&self.prefixes.get(prefix)?.adj_in[self.slot(peer)?])
     }
 
     /// Whether the route from `peer` for `prefix` is currently suppressed.
     pub fn is_suppressed(&self, peer: AsId, prefix: Prefix) -> bool {
-        self.neighbors
-            .get(&peer)
-            .and_then(|n| n.adj_in.get(prefix))
-            .map(|e| e.rfd.is_suppressed())
-            .unwrap_or(false)
+        self.adj_in(peer, prefix)
+            .is_some_and(|e| e.rfd.is_suppressed())
     }
 
     /// Current RFD penalty on (peer, prefix) at `now`, if RFD is enabled.
     pub fn rfd_penalty(&self, peer: AsId, prefix: Prefix, now: SimTime) -> Option<f64> {
-        let n = self.neighbors.get(&peer)?;
-        let params = n.policy.rfd_for(prefix)?;
+        let params = self.session_policy(peer)?.rfd_for(prefix)?;
         Some(
-            n.adj_in
-                .get(prefix)
+            self.adj_in(peer, prefix)
                 .map(|e| e.rfd.penalty_at(now, params))
                 .unwrap_or(0.0),
         )
+    }
+
+    /// Distinct exported paths this router has built so far.
+    pub(crate) fn interned_paths(&self) -> usize {
+        self.exports.len()
+    }
+
+    /// The state for `prefix`, created (with a default entry per
+    /// session) on first touch.
+    fn state(&mut self, prefix: Prefix) -> &mut PrefixState {
+        let sessions = self.sessions.len();
+        let state = self.prefixes.entry(prefix);
+        if state.adj_in.len() != sessions {
+            state.adj_in.resize_with(sessions, AdjEntry::default);
+            state.adj_out.resize(sessions, None);
+        }
+        state
     }
 
     // ------------------------------------------------------------------
@@ -198,45 +337,57 @@ impl Router {
 
     /// Process an update received from `from`.
     pub fn handle_update(&mut self, from: AsId, update: BgpUpdate, now: SimTime) -> RouterOutput {
-        let Some(neighbor) = self.neighbors.get_mut(&from) else {
-            // Session gone (not modelled as an error — deliveries may race
-            // a reconfiguration in principle).
-            return RouterOutput::default();
-        };
+        let mut out = RouterOutput::default();
+        // No session: not modelled as an error — deliveries may race a
+        // reconfiguration in principle.
+        if let Some(slot) = self.slot(from) {
+            self.handle_update_at(slot, update, now, &mut out);
+        }
+        out
+    }
+
+    /// [`Router::handle_update`] for the session in `slot`, appending to
+    /// `out`.
+    pub(crate) fn handle_update_at(
+        &mut self,
+        slot: usize,
+        update: BgpUpdate,
+        now: SimTime,
+        out: &mut RouterOutput,
+    ) {
+        let own = self.asn;
         let prefix = update.prefix;
+        let params = self.sessions[slot].policy.rfd_for(prefix).copied();
+        let entry = &mut self.state(prefix).adj_in[slot];
 
         // 1. Loop detection: a path carrying our ASN makes the route
         //    unfeasible — treat as withdrawal, without an RFD penalty
         //    (RFC 2439 penalises route *changes*, and an unfeasible
         //    announcement never enters the RIB).
         let action = match update.action {
-            BgpAction::Announce { ref path, .. } if path.contains(self.asn) => BgpAction::Withdraw,
+            BgpAction::Announce { ref path, .. } if path.contains(own) => BgpAction::Withdraw,
             other => other,
         };
 
         // 2. Adj-RIB-In + flap classification.
         let (kind, rib_changed) = match action {
             BgpAction::Announce { path, aggregator } => {
-                neighbor
-                    .adj_in
-                    .apply_announce(prefix, Route { path, aggregator }, now)
+                entry.apply_announce(Route { path, aggregator }, now)
             }
-            BgpAction::Withdraw => neighbor.adj_in.apply_withdraw(prefix, now),
+            BgpAction::Withdraw => entry.apply_withdraw(now),
         };
 
         // 3. RFD penalty accounting.
-        let mut out = RouterOutput::default();
         let mut usability_changed = rib_changed;
-        if let Some(params) = neighbor.policy.rfd_for(prefix).copied() {
+        if let Some(params) = params {
             if kind != FlapKind::Duplicate {
-                let entry = neighbor.adj_in.entry(prefix);
                 match entry.rfd.record(kind, now, &params) {
                     RfdTransition::Suppressed => {
                         let at = entry
                             .rfd
                             .release_at(&params)
                             .expect("suppressed has release time");
-                        out.rfd_timers.push((from, prefix, at));
+                        out.rfd_timers.push((slot, prefix, at));
                         out.rfd_suppressed = true;
                         usability_changed = true;
                     }
@@ -252,38 +403,44 @@ impl Router {
                     }
                     RfdTransition::StillUsable => {}
                 }
-            } else if neighbor
-                .adj_in
-                .get(prefix)
-                .map(|e| e.rfd.is_suppressed())
-                .unwrap_or(false)
-            {
+            } else if entry.rfd.is_suppressed() {
                 usability_changed = false;
             }
         }
 
         if usability_changed {
-            out.merge(self.reselect(prefix, now));
+            self.reselect(prefix, now, out);
         }
-        out
     }
 
     /// An RFD reuse timer fired for (peer, prefix).
     pub fn rfd_reuse_fired(&mut self, peer: AsId, prefix: Prefix, now: SimTime) -> RouterOutput {
         let mut out = RouterOutput::default();
-        let Some(neighbor) = self.neighbors.get_mut(&peer) else {
-            return out;
+        if let Some(slot) = self.slot(peer) {
+            self.rfd_reuse_at(slot, prefix, now, &mut out);
+        }
+        out
+    }
+
+    /// [`Router::rfd_reuse_fired`] for the session in `slot`.
+    pub(crate) fn rfd_reuse_at(
+        &mut self,
+        slot: usize,
+        prefix: Prefix,
+        now: SimTime,
+        out: &mut RouterOutput,
+    ) {
+        let Some(params) = self.sessions[slot].policy.rfd_for(prefix).copied() else {
+            return;
         };
-        let Some(params) = neighbor.policy.rfd_for(prefix).copied() else {
-            return out;
+        let Some(state) = self.prefixes.get_mut(prefix) else {
+            return;
         };
-        let Some(entry) = neighbor.adj_in.get_mut(prefix) else {
-            return out;
-        };
+        let entry = &mut state.adj_in[slot];
         if entry.rfd.tick(now, &params) {
             // Released: the stored route (if any) becomes usable again.
             out.rfd_released = true;
-            out.merge(self.reselect(prefix, now));
+            self.reselect(prefix, now, out);
         } else if entry.rfd.is_suppressed() {
             // Flaps while suppressed pushed the release time out; re-arm.
             // The new deadline must be strictly in the future: exp2/log2
@@ -296,20 +453,40 @@ impl Router {
                 .release_at(&params)
                 .expect("still suppressed")
                 .max(now + netsim::SimDuration::from_millis(1));
-            out.rfd_timers.push((peer, prefix, at));
+            out.rfd_timers.push((slot, prefix, at));
         }
-        out
     }
 
     /// An MRAI timer fired for (peer, prefix): flush the coalesced update.
     pub fn mrai_expired(&mut self, peer: AsId, prefix: Prefix, now: SimTime) -> RouterOutput {
         let mut out = RouterOutput::default();
-        if let Some(neighbor) = self.neighbors.get_mut(&peer) {
-            if let Some(update) = neighbor.mrai.expire(prefix, now) {
-                out.sends.push((peer, update));
-            }
+        if let Some(slot) = self.slot(peer) {
+            self.mrai_expired_at(slot, prefix, now, &mut out);
         }
         out
+    }
+
+    /// [`Router::mrai_expired`] for the session in `slot`.
+    pub(crate) fn mrai_expired_at(
+        &mut self,
+        slot: usize,
+        prefix: Prefix,
+        now: SimTime,
+        out: &mut RouterOutput,
+    ) {
+        if let Some(update) = self.sessions[slot].mrai.expire(prefix, now) {
+            out.sends.push((slot, update));
+        }
+    }
+
+    /// Forget what the session in `slot` advertised and discard its MRAI
+    /// state, as a session reset does.
+    fn reset_session(&mut self, slot: usize) {
+        let session = &mut self.sessions[slot];
+        session.mrai = MraiGate::new(session.policy.mrai);
+        for (_, state) in self.prefixes.iter_mut() {
+            state.adj_out[slot] = None;
+        }
     }
 
     /// The session to `peer` went down (e.g. a fault-injected reset).
@@ -323,24 +500,22 @@ impl Router {
     /// affected prefix (deterministic prefix order) so the driver can
     /// record each Loc-RIB change individually.
     pub fn session_down(&mut self, peer: AsId, now: SimTime) -> Vec<(Prefix, RouterOutput)> {
-        let Some(neighbor) = self.neighbors.get_mut(&peer) else {
+        let Some(slot) = self.slot(peer) else {
             return Vec::new();
         };
-        neighbor.adj_out.clear();
-        neighbor.mrai = MraiGate::new(neighbor.policy.mrai);
-        let prefixes: Vec<Prefix> = neighbor
-            .adj_in
+        self.reset_session(slot);
+        let prefixes: Vec<Prefix> = self
+            .prefixes
             .iter()
-            .filter(|(_, e)| e.route.is_some())
-            .map(|(p, _)| *p)
+            .filter(|(_, state)| state.adj_in[slot].route.is_some())
+            .map(|(p, _)| p)
             .collect();
         prefixes
             .into_iter()
             .map(|prefix| {
-                (
-                    prefix,
-                    self.handle_update(peer, BgpUpdate::withdraw(prefix), now),
-                )
+                let mut out = RouterOutput::default();
+                self.handle_update_at(slot, BgpUpdate::withdraw(prefix), now, &mut out);
+                (prefix, out)
             })
             .collect()
     }
@@ -353,19 +528,34 @@ impl Router {
     /// arriving announcement classifies as a re-advertisement flap —
     /// the RFD penalty cost of a session reset.
     pub fn session_up(&mut self, peer: AsId, now: SimTime) -> Vec<(Prefix, RouterOutput)> {
-        let Some(neighbor) = self.neighbors.get_mut(&peer) else {
+        let Some(slot) = self.slot(peer) else {
             return Vec::new();
         };
-        neighbor.adj_out.clear();
-        neighbor.mrai = MraiGate::new(neighbor.policy.mrai);
-        let prefixes: Vec<Prefix> = self.loc_rib.keys().copied().collect();
-        prefixes
-            .into_iter()
-            .map(|prefix| {
-                let sel = self.loc_rib.get(&prefix).cloned();
-                (prefix, self.export_to(peer, prefix, sel.as_ref(), now))
-            })
-            .collect()
+        self.reset_session(slot);
+        let own = self.asn;
+        let mut outs = Vec::new();
+        for (prefix, state) in self.prefixes.iter_mut() {
+            let Some(best) = &state.best else {
+                continue;
+            };
+            let mut out = RouterOutput::default();
+            let view = self.exports.view(own, best);
+            let learned = learned(&self.sessions, best);
+            export_one(
+                own,
+                slot,
+                &mut self.sessions[slot],
+                &mut state.adj_out[slot],
+                &mut self.exports,
+                prefix,
+                Some(&view),
+                learned,
+                now,
+                &mut out,
+            );
+            outs.push((prefix, out));
+        }
+        outs
     }
 
     /// Originate (announce) `prefix` locally, with an optional beacon stamp.
@@ -375,14 +565,41 @@ impl Router {
         aggregator: Option<AggregatorStamp>,
         now: SimTime,
     ) -> RouterOutput {
-        self.originated.insert(prefix, aggregator);
-        self.reselect(prefix, now)
+        let mut out = RouterOutput::default();
+        self.originate_into(prefix, aggregator, now, &mut out);
+        out
+    }
+
+    /// [`Router::originate`], appending to `out`.
+    pub(crate) fn originate_into(
+        &mut self,
+        prefix: Prefix,
+        aggregator: Option<AggregatorStamp>,
+        now: SimTime,
+        out: &mut RouterOutput,
+    ) {
+        self.state(prefix).originated = Some(aggregator);
+        self.reselect(prefix, now, out);
     }
 
     /// Withdraw a locally-originated prefix.
     pub fn withdraw_origin(&mut self, prefix: Prefix, now: SimTime) -> RouterOutput {
-        self.originated.remove(&prefix);
-        self.reselect(prefix, now)
+        let mut out = RouterOutput::default();
+        self.withdraw_origin_into(prefix, now, &mut out);
+        out
+    }
+
+    /// [`Router::withdraw_origin`], appending to `out`.
+    pub(crate) fn withdraw_origin_into(
+        &mut self,
+        prefix: Prefix,
+        now: SimTime,
+        out: &mut RouterOutput,
+    ) {
+        if let Some(state) = self.prefixes.get_mut(prefix) {
+            state.originated = None;
+            self.reselect(prefix, now, out);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -390,192 +607,132 @@ impl Router {
     // ------------------------------------------------------------------
 
     /// Re-run the decision process for `prefix` and export any change.
-    fn reselect(&mut self, prefix: Prefix, now: SimTime) -> RouterOutput {
-        let new = self.compute_best(prefix);
-        let old = self.loc_rib.get(&prefix);
-        if old == new.as_ref() {
-            return RouterOutput::default();
-        }
-        match new.clone() {
-            Some(sel) => self.loc_rib.insert(prefix, sel),
-            None => self.loc_rib.remove(&prefix),
-        };
-
-        let mut out = RouterOutput {
-            loc_rib_change: Some(LocRibChange {
-                prefix,
-                route: new.as_ref().map(|s| s.exported_view(self.asn)),
-            }),
-            ..RouterOutput::default()
-        };
-        out.merge(self.export(prefix, new.as_ref(), now));
-        out
-    }
-
-    fn compute_best(&self, prefix: Prefix) -> Option<Selection> {
-        if let Some(aggregator) = self.originated.get(&prefix) {
-            return Some(Selection::Local {
-                aggregator: *aggregator,
-            });
-        }
-        let candidates = self.neighbors.iter().filter_map(|(&asn, n)| {
-            let entry = n.adj_in.get(prefix)?;
-            let route = entry.usable()?;
-            // Defensive loop check (sender-side split horizon should make
-            // this unreachable, but policy bugs must not loop forever).
-            if route.path.contains(self.asn) {
-                return None;
-            }
-            Some(Candidate {
-                neighbor: asn,
-                relationship: n.policy.relationship,
-                route,
-            })
-        });
-        select_best(candidates).map(|c| Selection::Learned {
-            neighbor: c.neighbor,
-            route: c.route.clone(),
-        })
-    }
-
-    /// Diff the desired advertisement against each neighbor's Adj-RIB-Out
-    /// and emit the needed updates through the MRAI gate.
-    fn export(
-        &mut self,
-        prefix: Prefix,
-        selection: Option<&Selection>,
-        now: SimTime,
-    ) -> RouterOutput {
+    ///
+    /// The exported view is built once (interned) and shared by the
+    /// Loc-RIB change and every neighbor's advertisement.
+    fn reselect(&mut self, prefix: Prefix, now: SimTime, out: &mut RouterOutput) {
         let own = self.asn;
-        // Who did we learn the best route from (split horizon), and what
-        // relationship was it learned over (Gao–Rexford)?
-        let (learned_from, learned_rel) = match selection {
-            Some(Selection::Learned { neighbor, .. }) => {
-                let rel = self.neighbors[neighbor].policy.relationship;
-                (Some(*neighbor), Some(rel))
-            }
-            _ => (None, None),
+        let Some(state) = self.prefixes.get_mut(prefix) else {
+            return;
         };
-
-        let mut out = RouterOutput::default();
-        for (&peer, neighbor) in &mut self.neighbors {
-            Self::export_one(
-                own,
-                peer,
-                neighbor,
-                prefix,
-                selection,
-                learned_from,
-                learned_rel,
-                now,
-                &mut out,
-            );
-        }
-        out
-    }
-
-    /// [`Router::export`] restricted to one peer — used by
-    /// [`Router::session_up`] to re-sync a re-established session.
-    fn export_to(
-        &mut self,
-        peer: AsId,
-        prefix: Prefix,
-        selection: Option<&Selection>,
-        now: SimTime,
-    ) -> RouterOutput {
-        let own = self.asn;
-        let (learned_from, learned_rel) = match selection {
-            Some(Selection::Learned { neighbor, .. }) => {
-                let rel = self.neighbors[neighbor].policy.relationship;
-                (Some(*neighbor), Some(rel))
-            }
-            _ => (None, None),
-        };
-        let mut out = RouterOutput::default();
-        if let Some(neighbor) = self.neighbors.get_mut(&peer) {
-            Self::export_one(
-                own,
-                peer,
-                neighbor,
-                prefix,
-                selection,
-                learned_from,
-                learned_rel,
-                now,
-                &mut out,
-            );
-        }
-        out
-    }
-
-    /// The per-neighbor half of the export diff: decide the desired
-    /// advertisement, diff it against the Adj-RIB-Out, and push the
-    /// resulting update through the MRAI gate.
-    #[allow(clippy::too_many_arguments)]
-    fn export_one(
-        own: AsId,
-        peer: AsId,
-        neighbor: &mut Neighbor,
-        prefix: Prefix,
-        selection: Option<&Selection>,
-        learned_from: Option<AsId>,
-        learned_rel: Option<Relationship>,
-        now: SimTime,
-        out: &mut RouterOutput,
-    ) {
-        // Desired route towards this peer.
-        let desired: Option<Route> = match selection {
-            None => None,
-            Some(sel) => {
-                // Split horizon (never advertise back to the peer the
-                // route was learned from) or export policy forbids.
-                if learned_from == Some(peer)
-                    || !ExportPolicy::permits(learned_rel, neighbor.policy.relationship)
-                {
-                    None
-                } else {
-                    let base = sel.exported_view(own);
-                    let extra = neighbor.policy.prepend_extra;
-                    Some(Route {
-                        path: if extra > 0 {
-                            base.path.prepend(own, extra)
-                        } else {
-                            base.path
-                        },
-                        aggregator: base.aggregator,
-                    })
-                }
-            }
-        };
-
-        let current = neighbor.adj_out.get(&prefix);
-        if current == desired.as_ref() {
+        let new = compute_best(own, &self.sessions, state);
+        if state.best == new {
             return;
         }
-        let update = match &desired {
-            Some(route) => BgpUpdate::announce(prefix, route.path.clone(), route.aggregator),
-            None => {
-                if current.is_none() {
-                    return; // never advertised, nothing to withdraw
-                }
-                BgpUpdate::withdraw(prefix)
-            }
-        };
-        match desired {
-            Some(route) => {
-                neighbor.adj_out.insert(prefix, route);
-            }
-            None => {
-                neighbor.adj_out.remove(&prefix);
-            }
+        let view = new.as_ref().map(|sel| self.exports.view(own, sel));
+        let learned = new.as_ref().and_then(|sel| learned(&self.sessions, sel));
+        state.best = new;
+        for (slot, (session, adj_out)) in
+            self.sessions.iter_mut().zip(&mut state.adj_out).enumerate()
+        {
+            export_one(
+                own,
+                slot,
+                session,
+                adj_out,
+                &mut self.exports,
+                prefix,
+                view.as_ref(),
+                learned,
+                now,
+                out,
+            );
         }
-        match neighbor.mrai.submit(update, now) {
-            MraiVerdict::SendNow(u) => out.sends.push((peer, u)),
-            MraiVerdict::Deferred { at, arm } => {
-                out.mrai_deferrals += 1;
-                if arm {
-                    out.mrai_timers.push((peer, prefix, at));
-                }
+        out.loc_rib_change = Some(LocRibChange {
+            prefix,
+            route: view,
+        });
+    }
+}
+
+/// The decision process over every usable route for one prefix.
+fn compute_best(own: AsId, sessions: &[Session], state: &PrefixState) -> Option<Selection> {
+    if let Some(aggregator) = state.originated {
+        return Some(Selection::Local { aggregator });
+    }
+    let candidates = sessions.iter().zip(&state.adj_in).filter_map(|(s, entry)| {
+        let route = entry.usable()?;
+        // Defensive loop check (sender-side split horizon should make
+        // this unreachable, but policy bugs must not loop forever).
+        if route.path.contains(own) {
+            return None;
+        }
+        Some(Candidate {
+            neighbor: s.asn,
+            relationship: s.policy.relationship,
+            route,
+        })
+    });
+    select_best(candidates).map(|c| Selection::Learned {
+        neighbor: c.neighbor,
+        route: c.route.clone(),
+    })
+}
+
+/// The slot and relationship a learned selection came over (split
+/// horizon and the Gao–Rexford filter need both); `None` when local.
+fn learned(sessions: &[Session], selection: &Selection) -> Option<(usize, Relationship)> {
+    match selection {
+        Selection::Learned { neighbor, .. } => {
+            let slot = sessions
+                .binary_search_by_key(neighbor, |s| s.asn)
+                .expect("learned over a session");
+            Some((slot, sessions[slot].policy.relationship))
+        }
+        Selection::Local { .. } => None,
+    }
+}
+
+/// The per-neighbor half of the export: decide the desired advertisement
+/// from the shared exported `view`, diff it against the Adj-RIB-Out
+/// entry, and push the resulting update through the MRAI gate.
+#[allow(clippy::too_many_arguments)]
+fn export_one(
+    own: AsId,
+    slot: usize,
+    session: &mut Session,
+    adj_out: &mut Option<Route>,
+    exports: &mut PathMemo,
+    prefix: Prefix,
+    view: Option<&Route>,
+    learned: Option<(usize, Relationship)>,
+    now: SimTime,
+    out: &mut RouterOutput,
+) {
+    // Split horizon (never advertise back to the peer the route was
+    // learned from) and the export policy decide whether to advertise.
+    let permitted = match learned {
+        Some((from, rel)) => {
+            from != slot && ExportPolicy::permits(Some(rel), session.policy.relationship)
+        }
+        None => true,
+    };
+    let desired = view.filter(|_| permitted).map(|view| {
+        let extra = session.policy.prepend_extra;
+        if extra > 0 {
+            Route {
+                path: exports.prepend(&view.path, own, extra),
+                aggregator: view.aggregator,
+            }
+        } else {
+            view.clone()
+        }
+    });
+
+    if *adj_out == desired {
+        return;
+    }
+    let update = match &desired {
+        Some(route) => BgpUpdate::announce(prefix, route.path.clone(), route.aggregator),
+        None => BgpUpdate::withdraw(prefix),
+    };
+    *adj_out = desired;
+    match session.mrai.submit(update, now) {
+        MraiVerdict::SendNow(u) => out.sends.push((slot, u)),
+        MraiVerdict::Deferred { at, arm } => {
+            out.mrai_deferrals += 1;
+            if arm {
+                out.mrai_timers.push((slot, prefix, at));
             }
         }
     }
@@ -636,7 +793,7 @@ mod tests {
         // Learned from customer → export to provider AS3 (not back to AS2).
         assert_eq!(out.sends.len(), 1);
         let (to, u) = &out.sends[0];
-        assert_eq!(*to, AsId(3));
+        assert_eq!(r.neighbor_asn(*to), AsId(3));
         match &u.action {
             BgpAction::Announce { path, .. } => assert_eq!(path.asns(), &[AsId(1), AsId(2)]),
             _ => panic!("expected announce"),
@@ -651,7 +808,7 @@ mod tests {
         r.add_session(AsId(4), plain(Relationship::Peer));
         r.add_session(AsId(5), plain(Relationship::Customer));
         let out = r.handle_update(AsId(2), announce_from(2), SimTime::ZERO);
-        let dests: Vec<AsId> = out.sends.iter().map(|(d, _)| *d).collect();
+        let dests: Vec<AsId> = out.sends.iter().map(|(d, _)| r.neighbor_asn(*d)).collect();
         assert_eq!(
             dests,
             vec![AsId(5)],
@@ -666,7 +823,7 @@ mod tests {
         let out = r.handle_update(AsId(2), BgpUpdate::withdraw(pfx()), SimTime::from_secs(1));
         assert_eq!(out.sends.len(), 1);
         let (to, u) = &out.sends[0];
-        assert_eq!(*to, AsId(3));
+        assert_eq!(r.neighbor_asn(*to), AsId(3));
         assert!(matches!(u.action, BgpAction::Withdraw));
         assert!(r.best(pfx()).is_none());
     }
@@ -697,7 +854,11 @@ mod tests {
         // The best change also retracts the old advertisement towards AS4
         // (now the learning neighbor) and offers the new best to AS2.
         let out = r.handle_update(AsId(2), BgpUpdate::withdraw(pfx()), SimTime::from_secs(2));
-        let to_provider: Vec<_> = out.sends.iter().filter(|(to, _)| *to == AsId(3)).collect();
+        let to_provider: Vec<_> = out
+            .sends
+            .iter()
+            .filter(|(to, _)| r.neighbor_asn(*to) == AsId(3))
+            .collect();
         assert_eq!(to_provider.len(), 1);
         match &to_provider[0].1.action {
             BgpAction::Announce { path, .. } => {
@@ -709,7 +870,7 @@ mod tests {
         assert!(out
             .sends
             .iter()
-            .filter(|(to, _)| *to == AsId(4))
+            .filter(|(to, _)| r.neighbor_asn(*to) == AsId(4))
             .all(|(_, u)| matches!(u.action, BgpAction::Withdraw)));
     }
 
@@ -776,7 +937,7 @@ mod tests {
             assert!(
                 out.sends
                     .iter()
-                    .any(|(to, u)| *to == AsId(3) && u.action.is_announce()),
+                    .any(|(to, u)| r.neighbor_asn(*to) == AsId(3) && u.action.is_announce()),
                 "release must re-advertise"
             );
             break;
@@ -867,7 +1028,8 @@ mod tests {
         let out = r.handle_update(AsId(2), changed, SimTime::from_secs(5));
         assert!(out.sends.is_empty());
         assert_eq!(out.mrai_timers.len(), 1);
-        let (peer, prefix, at) = out.mrai_timers[0];
+        let (slot, prefix, at) = out.mrai_timers[0];
+        let peer = r.neighbor_asn(slot);
         assert_eq!((peer, prefix), (AsId(3), pfx()));
         // Expiry flushes the pending (coalesced) announcement.
         let out = r.mrai_expired(peer, prefix, at);
@@ -920,7 +1082,10 @@ mod tests {
             matches!(r.best(pfx()), Some(Selection::Learned { neighbor, .. }) if *neighbor == AsId(2))
         );
         // The new best is customer-learned → exported to the provider.
-        assert!(out.sends.iter().any(|(to, _)| *to == AsId(3)));
+        assert!(out
+            .sends
+            .iter()
+            .any(|(to, _)| r.neighbor_asn(*to) == AsId(3)));
     }
 
     #[test]
@@ -933,10 +1098,9 @@ mod tests {
         let (prefix, out) = &outs[0];
         assert_eq!(*prefix, pfx());
         // The loss propagates downstream as a withdrawal to AS3.
-        assert!(out
-            .sends
-            .iter()
-            .any(|(to, u)| *to == AsId(3) && matches!(u.action, BgpAction::Withdraw)));
+        assert!(out.sends.iter().any(
+            |(to, u)| r.neighbor_asn(*to) == AsId(3) && matches!(u.action, BgpAction::Withdraw)
+        ));
         assert!(r.best(pfx()).is_none());
     }
 
@@ -977,7 +1141,7 @@ mod tests {
         let announced: Vec<Prefix> = outs
             .iter()
             .flat_map(|(_, out)| out.sends.iter())
-            .filter(|(to, u)| *to == AsId(2) && u.action.is_announce())
+            .filter(|(to, u)| r.neighbor_asn(*to) == AsId(2) && u.action.is_announce())
             .map(|(_, u)| u.prefix)
             .collect();
         assert!(announced.contains(&pfx()), "origin must re-advertise");
@@ -994,9 +1158,36 @@ mod tests {
         let mut r = sample_router();
         r.handle_update(AsId(2), announce_from(2), SimTime::ZERO);
         r.session_down(AsId(2), SimTime::from_secs(10));
-        let entry = r.neighbors[&AsId(2)].adj_in.get(pfx()).unwrap();
+        let entry = r.adj_in(AsId(2), pfx()).unwrap();
         assert!(entry.route.is_none(), "session loss withdraws the route");
         assert!(entry.ever_announced, "history survives the reset");
+    }
+
+    #[test]
+    fn session_added_after_routes_keeps_each_peers_entry() {
+        // AS3's route is stored before the session to AS2 exists; adding
+        // AS2 takes the first slot and moves AS3's entry along with it.
+        let mut r = Router::new(AsId(1));
+        r.add_session(AsId(3), plain(Relationship::Provider));
+        r.handle_update(AsId(3), announce_from(3), SimTime::ZERO);
+        r.add_session(AsId(2), plain(Relationship::Customer));
+        assert_eq!(r.neighbor_ids(), vec![AsId(2), AsId(3)]);
+        assert!(r.adj_in(AsId(2), pfx()).unwrap().route.is_none());
+        assert!(r.adj_in(AsId(3), pfx()).unwrap().route.is_some());
+        // The customer route wins, and is exported to the provider.
+        let out = r.handle_update(AsId(2), announce_from(2), SimTime::from_secs(1));
+        assert!(matches!(
+            r.best(pfx()),
+            Some(Selection::Learned { neighbor, .. }) if *neighbor == AsId(2)
+        ));
+        assert_eq!(out.sends.len(), 1);
+        assert_eq!(r.neighbor_asn(out.sends[0].0), AsId(3));
+        // Losing it falls back to the provider route stored first.
+        r.handle_update(AsId(2), BgpUpdate::withdraw(pfx()), SimTime::from_secs(2));
+        assert!(matches!(
+            r.best(pfx()),
+            Some(Selection::Learned { neighbor, .. }) if *neighbor == AsId(3)
+        ));
     }
 
     #[test]

@@ -48,9 +48,11 @@ impl HistogramSnapshot {
     /// cumulative bucket counts and interpolated linearly inside the
     /// containing bucket. The first bucket's lower edge is the tracked
     /// `min` when finite (else its own bound — no interpolation); the
-    /// overflow bucket's upper edge is the tracked `max` when finite
-    /// (else the estimate saturates at the last bound). `NaN` when the
-    /// histogram is empty or `q` is out of range.
+    /// overflow bucket spans from the last bound (or `min`, if larger)
+    /// to the tracked `max` when finite (else the estimate saturates at
+    /// the last bound). With both `min` and `max` tracked, every estimate
+    /// lies in `[min, max]`. `NaN` when the histogram is empty or `q` is
+    /// out of range.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 || !(0.0..=1.0).contains(&q) || self.bounds.is_empty() {
             return f64::NAN;
@@ -70,12 +72,18 @@ impl HistogramSnapshot {
             } else if i < self.bounds.len() {
                 (self.bounds[i - 1], self.bounds[i])
             } else if self.max.is_finite() {
-                (last, self.max)
+                // `f64::max` ignores an untracked (NaN) min.
+                (last.max(self.min), self.max)
             } else {
                 return last;
             };
             let frac = ((target - rank_at_entry) / c as f64).clamp(0.0, 1.0);
-            return lower + (upper - lower) * frac;
+            let estimate = lower + (upper - lower) * frac;
+            return if self.min.is_finite() && self.max.is_finite() {
+                estimate.clamp(self.min, self.max)
+            } else {
+                estimate
+            };
         }
         f64::NAN
     }
@@ -460,7 +468,8 @@ mod tests {
     #[test]
     fn single_bin_histogram_quantiles_exact_bytes() {
         // One bound → two buckets; both samples land under the bound, so
-        // quantiles interpolate between the tracked min and the bound.
+        // quantiles interpolate between the tracked min and the bound,
+        // clamped to the tracked max.
         let mut r = RunReport::new("single");
         let mut h = Histogram::new(&[1.0]);
         h.record(0.5);
@@ -470,16 +479,35 @@ mod tests {
             r.to_text(),
             "== run report: single ==\n\
              [s]\n  tiny_hist  n=2 mean=0.625 min=0.500 max=0.750 \
-             p50=0.750 p90=0.950 p99=0.995 | le1:2 inf:0\n"
+             p50=0.750 p90=0.750 p99=0.750 | le1:2 inf:0\n"
         );
         assert_eq!(
             r.to_json(),
             "{\"name\":\"single\",\"sections\":[{\"name\":\"s\",\"entries\":[\
              {\"name\":\"tiny_hist\",\"kind\":\"histogram\",\"count\":2,\
              \"sum\":1.25,\"mean\":0.625,\"min\":0.5,\"max\":0.75,\
-             \"p50\":0.75,\"p90\":0.95,\"p99\":0.995,\
+             \"p50\":0.75,\"p90\":0.75,\"p99\":0.75,\
              \"buckets\":[{\"le\":1,\"count\":2},{\"le\":null,\"count\":0}]}]}]}"
         );
+    }
+
+    #[test]
+    fn quantiles_of_an_all_overflow_histogram_stay_within_the_samples() {
+        // The fig09 r-delta shape: every sample (168–180 min) lands in the
+        // overflow bucket past the last bound (90). The estimate must
+        // interpolate over the samples' range, not from the last bound.
+        let mut h = Histogram::new(&[1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 45.0, 60.0, 90.0]);
+        for i in 0..=12 {
+            h.record(168.0 + f64::from(i));
+        }
+        let s = h.snapshot();
+        assert_eq!(s.counts.last(), Some(&13));
+        for q in [0.0, 0.01, 0.5, 0.9, 0.99, 1.0] {
+            let v = s.quantile(q);
+            assert!((168.0..=180.0).contains(&v), "p{q} = {v}");
+        }
+        assert_eq!(s.quantile(0.5), 174.0);
+        assert_eq!(s.quantile(1.0), 180.0);
     }
 
     #[test]

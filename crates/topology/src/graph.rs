@@ -164,16 +164,18 @@ impl Topology {
     /// each neighbor; it receives `(local, neighbor, relationship-at-local)`
     /// and may add RFD parameters, MRAI, or prepending to the plain
     /// relationship policy it is given. Vantage points are attached as
-    /// taps automatically.
+    /// taps automatically. Every router's session table is sized for its
+    /// degree before the first link is connected.
     pub fn instantiate(
         &self,
         config: NetworkConfig,
         mut policy_hook: impl FnMut(AsId, AsId, SessionPolicy) -> SessionPolicy,
     ) -> Network {
         let mut net = Network::new(config);
-        for a in &self.ases {
-            net.add_router(a.id);
-        }
+        net.reserve(
+            self.ases.iter().map(|a| a.id),
+            self.links.iter().map(|l| (l.a, l.b)),
+        );
         for l in &self.links {
             let base_a = SessionPolicy::plain(l.rel_at_a);
             let base_b = SessionPolicy::plain(l.rel_at_a.reversed());

@@ -15,6 +15,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> cargo test (perfbench composition)"
+cargo test --manifest-path perfbench/Cargo.toml -q
+
 echo "==> cargo test -p obs --no-default-features"
 cargo test -p obs --no-default-features -q
 
