@@ -1,7 +1,8 @@
 //! Likelihood kernels — the inner loop of both samplers.
 //!
-//! * `eval` / `grad`: full-dataset log-likelihood and gradient (the HMC
-//!   leapfrog cost), over growing dataset sizes.
+//! * `eval` / `grad` / `eval_grad`: full-dataset log-likelihood, its
+//!   gradient, and both from the fused pass HMC runs once per leapfrog
+//!   step, over growing dataset sizes.
 //! * `incremental_vs_full`: the ablation DESIGN.md calls out — a
 //!   component-wise update via the incremental cache versus recomputing
 //!   the full likelihood, which is the difference that makes MH viable
@@ -43,6 +44,25 @@ fn bench_grad(c: &mut Criterion) {
                     black_box(&g);
                 })
             },
+        );
+    }
+    group.finish();
+}
+
+/// The fused value-and-gradient pass HMC takes once per leapfrog step,
+/// on the same datasets as `likelihood_eval` / `likelihood_grad`.
+fn bench_eval_grad(c: &mut Criterion) {
+    let mut group = c.benchmark_group("likelihood_eval_grad");
+    for &(nodes, paths) in &[(50u32, 200usize), (200, 1000), (500, 4000), (800, 6000)] {
+        let data = synthetic_paths(nodes, paths, 0.2, 2);
+        let ll = LogLikelihood::new(&data);
+        let mut ws = ll.workspace();
+        ws.fill(&mid_p(&data));
+        let mut g = vec![0.0; data.num_nodes()];
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("{nodes}n_{paths}p")),
+            &(),
+            |b, _| b.iter(|| black_box(ll.eval_grad_in(black_box(&mut ws), &mut g))),
         );
     }
     group.finish();
@@ -113,6 +133,6 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_eval, bench_grad, bench_parallel_vs_serial, bench_incremental_vs_full
+    targets = bench_eval, bench_grad, bench_eval_grad, bench_parallel_vs_serial, bench_incremental_vs_full
 );
 criterion_main!(benches);

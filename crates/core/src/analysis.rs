@@ -382,20 +382,19 @@ impl Analysis {
         let mh_pooled = (!mh_chains.is_empty()).then(|| Chain::pooled(&mh_chains));
         let hmc_pooled = (!hmc_chains.is_empty()).then(|| Chain::pooled(&hmc_chains));
 
-        // Marginal summaries and Table-1 categories.
+        // Marginal summaries (one per coordinate, computed in parallel)
+        // and Table-1 categories.
         let n = data.num_nodes();
+        let marginal = |chain: &Option<Chain>, i: usize| {
+            chain
+                .as_ref()
+                .map(|c| Marginal::from_samples(&c.column(i), config.hpdi_level))
+        };
+        let marginals =
+            diagnostics::map_coords(n, |i| (marginal(&mh_pooled, i), marginal(&hmc_pooled, i)));
         let mut reports = Vec::with_capacity(n);
         let mut categories = Vec::with_capacity(n);
-        let mut col: Vec<f64> = Vec::new();
-        for i in 0..n {
-            let mh = mh_pooled.as_ref().map(|c| {
-                c.copy_column(i, &mut col);
-                Marginal::from_samples(&col, config.hpdi_level)
-            });
-            let hmc = hmc_pooled.as_ref().map(|c| {
-                c.copy_column(i, &mut col);
-                Marginal::from_samples(&col, config.hpdi_level)
-            });
+        for (i, (mh, hmc)) in marginals.into_iter().enumerate() {
             let votes = [mh, hmc]
                 .iter()
                 .flatten()

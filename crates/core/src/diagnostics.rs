@@ -28,6 +28,38 @@ use crate::math::inv_normal_cdf;
 /// draws regardless.
 pub const ESS_MAX_LAG_PAIRS: usize = 1024;
 
+/// Fewest coordinates worth a thread in [`map_coords`].
+const MIN_COORDS_PER_THREAD: usize = 16;
+
+/// `[f(0), f(1), …, f(n − 1)]`, computed over scoped threads in
+/// contiguous chunks and returned in index order.
+///
+/// Each value is computed exactly as a serial loop would compute it, and
+/// callers reduce the returned vector in index order, so parallel
+/// post-chain diagnostics are bitwise equal to serial ones.
+pub(crate) fn map_coords<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |t| t.get())
+        .min(n.div_ceil(MIN_COORDS_PER_THREAD));
+    if threads <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let chunk = n.div_ceil(threads);
+    let f = &f;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| scope.spawn(move || (t * chunk..n.min((t + 1) * chunk)).map(f).collect()))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| -> Vec<T> {
+                w.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
+}
+
 /// Effective sample size of one marginal draw sequence, via the initial
 /// positive sequence estimator (Geyer): sum autocorrelations in pairs
 /// until a pair sum goes non-positive, or [`ESS_MAX_LAG_PAIRS`] pairs
@@ -192,25 +224,28 @@ fn split_halves(chains: &[Chain], coord: usize) -> Option<Vec<Vec<f64>>> {
 /// (Blom's offset, as in Vehtari et al. 2021). `NaN` values keep their
 /// `NaN`; infinities are tamed to finite scores by construction.
 fn rank_normalize(seqs: &mut [Vec<f64>]) {
-    let n_total: usize = seqs.iter().map(Vec::len).sum();
+    // Sort (value, flat position) pairs: the values sort directly, with
+    // no indirection. The sorted value sequence is unique under
+    // `total_cmp`, and a tie group shares one averaged rank, so the order
+    // inside a group (the unstable part) cannot change any score.
+    let mut keyed: Vec<(f64, u32)> = seqs
+        .iter()
+        .flatten()
+        .enumerate()
+        .map(|(k, &v)| (v, k as u32))
+        .collect();
+    let n_total = keyed.len();
     if n_total == 0 {
         return;
     }
-    let mut idx: Vec<(u32, u32)> = Vec::with_capacity(n_total);
-    for (h, s) in seqs.iter().enumerate() {
-        for i in 0..s.len() {
-            idx.push((h as u32, i as u32));
-        }
-    }
-    idx.sort_by(|a, b| {
-        seqs[a.0 as usize][a.1 as usize].total_cmp(&seqs[b.0 as usize][b.1 as usize])
-    });
+    keyed.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    let mut scores = vec![0.0; n_total];
     let denom = n_total as f64 + 0.25;
     let mut s = 0;
     while s < n_total {
-        let v = seqs[idx[s].0 as usize][idx[s].1 as usize];
+        let v = keyed[s].0;
         let mut e = s + 1;
-        while e < n_total && seqs[idx[e].0 as usize][idx[e].1 as usize] == v {
+        while e < n_total && keyed[e].0 == v {
             e += 1;
         }
         // Mean of the 1-based ranks s+1..=e shared by the tie group.
@@ -219,10 +254,14 @@ fn rank_normalize(seqs: &mut [Vec<f64>]) {
         } else {
             inv_normal_cdf(((s + 1 + e) as f64 / 2.0 - 0.375) / denom)
         };
-        for &(h, i) in &idx[s..e] {
-            seqs[h as usize][i as usize] = z;
+        for &(_, k) in &keyed[s..e] {
+            scores[k as usize] = z;
         }
         s = e;
+    }
+    let mut scores = scores.into_iter();
+    for x in seqs.iter_mut().flatten() {
+        *x = scores.next().expect("one score per value");
     }
 }
 
@@ -241,19 +280,21 @@ fn pooled_median(seqs: &[Vec<f64>]) -> f64 {
     }
 }
 
-/// Pooled empirical quantile across `seqs` (linear interpolation between
-/// order statistics).
-fn pooled_quantile(seqs: &[Vec<f64>], q: f64) -> f64 {
+/// Pooled empirical quantiles across `seqs` (linear interpolation
+/// between order statistics), from one sort.
+fn pooled_quantiles<const K: usize>(seqs: &[Vec<f64>], qs: [f64; K]) -> [f64; K] {
     let mut all: Vec<f64> = seqs.iter().flatten().copied().collect();
     if all.is_empty() {
-        return f64::NAN;
+        return [f64::NAN; K];
     }
     all.sort_by(|a, b| a.total_cmp(b));
-    let pos = q * (all.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    all[lo] + (all[hi] - all[lo]) * frac
+    qs.map(|q| {
+        let pos = q * (all.len() - 1) as f64;
+        let lo = pos.floor() as usize;
+        let hi = pos.ceil() as usize;
+        let frac = pos - lo as f64;
+        all[lo] + (all[hi] - all[lo]) * frac
+    })
 }
 
 /// Rank-normalized split-R̂ for one coordinate (Vehtari et al. 2021):
@@ -293,8 +334,7 @@ pub fn rank_normalized_split_r_hat(chains: &[Chain], coord: usize) -> f64 {
 pub fn max_rank_r_hat(chains: &[Chain]) -> f64 {
     let dim = chains.first().map(Chain::dim).unwrap_or(0);
     let mut worst = f64::NAN;
-    for i in 0..dim {
-        let r = rank_normalized_split_r_hat(chains, i);
+    for r in map_coords(dim, |i| rank_normalized_split_r_hat(chains, i)) {
         if !r.is_nan() && (worst.is_nan() || r > worst) {
             worst = r;
         }
@@ -335,8 +375,7 @@ pub fn ess_tail(chains: &[Chain], coord: usize) -> f64 {
     if cols.is_empty() {
         return f64::NAN;
     }
-    let q05 = pooled_quantile(&cols, 0.05);
-    let q95 = pooled_quantile(&cols, 0.95);
+    let [q05, q95] = pooled_quantiles(&cols, [0.05, 0.95]);
     let indicator_ess = |lower: bool, cut: f64| -> f64 {
         cols.iter()
             .map(|c| {
@@ -365,8 +404,8 @@ pub fn min_ess_bulk(chains: &[Chain]) -> f64 {
     if dim == 0 || chains.iter().all(Chain::is_empty) {
         return f64::NAN;
     }
-    (0..dim)
-        .map(|i| ess_bulk(chains, i))
+    map_coords(dim, |i| ess_bulk(chains, i))
+        .into_iter()
         .fold(f64::INFINITY, f64::min)
 }
 
@@ -377,8 +416,8 @@ pub fn min_ess_tail(chains: &[Chain]) -> f64 {
     if dim == 0 || chains.iter().all(Chain::is_empty) {
         return f64::NAN;
     }
-    (0..dim)
-        .map(|i| ess_tail(chains, i))
+    map_coords(dim, |i| ess_tail(chains, i))
+        .into_iter()
         .fold(f64::INFINITY, f64::min)
 }
 
@@ -788,6 +827,14 @@ mod tests {
         assert_eq!(seqs[0], vec![z(3.5), z(1.5), z(3.5)]);
         assert_eq!(seqs[1], vec![z(5.0), z(1.5)]);
         assert!(seqs[1][0] > seqs[0][0] && seqs[0][0] > seqs[0][1]);
+    }
+
+    #[test]
+    fn map_coords_keeps_coordinate_order() {
+        for n in [0, 1, 15, 16, 17, 100, 221] {
+            let want: Vec<usize> = (0..n).map(|i| i * i).collect();
+            assert_eq!(map_coords(n, |i| i * i), want, "n={n}");
+        }
     }
 
     #[test]

@@ -25,10 +25,10 @@ use netsim::SimRng;
 
 use crate::chain::{Sampler, SamplerKind};
 use crate::checkpoint::{CheckpointError, Checkpointable, Reader, Writer};
-use crate::likelihood::LogLikelihood;
+use crate::likelihood::{GradWorkspace, LogLikelihood};
 use crate::math::sigmoid;
 use crate::model::PathData;
-use crate::prior::Prior;
+use crate::prior::{LogPrior, Prior};
 
 /// Dual-averaging target acceptance probability.
 const TARGET_ACCEPT: f64 = 0.8;
@@ -39,8 +39,7 @@ pub struct Hmc<'a> {
     p: Vec<f64>,
     log_post: f64,
     grad_theta: Vec<f64>,
-    likelihood: LogLikelihood<'a>,
-    prior: Prior,
+    target: Target<'a>,
     /// Leapfrog steps per trajectory.
     leapfrog_steps: usize,
     /// Current step size.
@@ -54,14 +53,56 @@ pub struct Hmc<'a> {
     accepted: u64,
     proposed: u64,
     divergences: u64,
-    /// Likelihood eval+grad pairs computed (one per leapfrog step).
+    /// Log-posterior evaluations, each one fused value-and-gradient
+    /// likelihood pass: one at construction and one per leapfrog step.
     evals: u64,
     /// Total energy `H = −log π + kinetic` at the start of the most
     /// recent trajectory — the series the E-BFMI diagnostic needs.
     last_energy: f64,
-    // Scratch buffers.
-    scratch_p: Vec<f64>,
-    scratch_grad_p: Vec<f64>,
+    // Trajectory buffers, reused by every step: momentum, position and
+    // gradient. An accepted trajectory swaps its position and gradient
+    // with the current state instead of copying them.
+    momentum: Vec<f64>,
+    traj_theta: Vec<f64>,
+    traj_grad: Vec<f64>,
+}
+
+/// The logit-space target `log π(θ)` and its gradient, evaluated into
+/// caller-owned buffers.
+///
+/// One evaluation is one fused likelihood pass
+/// ([`LogLikelihood::eval_grad_in`]) plus one loop over the nodes for
+/// the prior and the Jacobian. The prior's `ln(1 − p)` is the likelihood's
+/// `log q` for the same node, and its normaliser is hoisted into
+/// [`LogPrior`]; both leave every value bitwise unchanged.
+struct Target<'a> {
+    likelihood: LogLikelihood<'a>,
+    prior: LogPrior,
+    p: Vec<f64>,
+    workspace: GradWorkspace,
+    grad_p: Vec<f64>,
+}
+
+impl Target<'_> {
+    /// Log posterior at `theta`, returned, and its θ-gradient, written
+    /// into `grad`.
+    fn log_post_and_grad(&mut self, theta: &[f64], grad: &mut [f64]) -> f64 {
+        for (i, (pi, &ti)) in self.p.iter_mut().zip(theta).enumerate() {
+            *pi = sigmoid(ti);
+            self.workspace.set(i, *pi);
+        }
+        let mut log_post = self
+            .likelihood
+            .eval_grad_in(&mut self.workspace, &mut self.grad_p);
+        let log_q = self.workspace.log_q();
+        for (i, g) in grad.iter_mut().enumerate() {
+            let p = self.p[i];
+            let jac = (p * (1.0 - p)).max(1e-18);
+            log_post += self.prior.log_density_log_q(p, log_q[i]) + jac.ln();
+            *g = (self.grad_p[i] + self.prior.grad(p)) * jac + (1.0 - 2.0 * p);
+        }
+        log_post
+    }
 }
 
 impl<'a> Hmc<'a> {
@@ -71,14 +112,20 @@ impl<'a> Hmc<'a> {
         let n = init_p.len();
         let theta: Vec<f64> = init_p.iter().map(|&p| crate::math::logit(p)).collect();
         let likelihood = LogLikelihood::new(data);
+        let workspace = likelihood.workspace();
         let step_size = 0.1 / (n.max(1) as f64).powf(0.25);
         let mut hmc = Hmc {
             theta,
             p: vec![0.0; n],
             log_post: 0.0,
             grad_theta: vec![0.0; n],
-            likelihood,
-            prior,
+            target: Target {
+                likelihood,
+                prior: LogPrior::new(prior),
+                p: vec![0.0; n],
+                workspace,
+                grad_p: vec![0.0; n],
+            },
             leapfrog_steps: 20,
             step_size,
             mu: (10.0 * step_size).ln(),
@@ -89,14 +136,15 @@ impl<'a> Hmc<'a> {
             accepted: 0,
             proposed: 0,
             divergences: 0,
-            evals: 0,
+            evals: 1,
             last_energy: f64::NAN,
-            scratch_p: vec![0.0; n],
-            scratch_grad_p: vec![0.0; n],
+            momentum: vec![0.0; n],
+            traj_theta: vec![0.0; n],
+            traj_grad: vec![0.0; n],
         };
-        let (lp, grad) = hmc.log_post_and_grad(&hmc.theta.clone());
-        hmc.log_post = lp;
-        hmc.grad_theta = grad;
+        hmc.log_post = hmc
+            .target
+            .log_post_and_grad(&hmc.theta, &mut hmc.grad_theta);
         hmc.refresh_p();
         hmc
     }
@@ -124,28 +172,6 @@ impl<'a> Hmc<'a> {
             *pi = sigmoid(ti);
         }
     }
-
-    /// Log posterior and its θ-gradient at `theta`.
-    fn log_post_and_grad(&mut self, theta: &[f64]) -> (f64, Vec<f64>) {
-        let n = theta.len();
-        self.evals += 1;
-        for (pi, &ti) in self.scratch_p.iter_mut().zip(theta) {
-            *pi = sigmoid(ti);
-        }
-        let ll = self.likelihood.eval(&self.scratch_p);
-        self.likelihood
-            .grad(&self.scratch_p, &mut self.scratch_grad_p);
-
-        let mut log_post = ll;
-        let mut grad = vec![0.0; n];
-        for (i, g) in grad.iter_mut().enumerate() {
-            let p = self.scratch_p[i];
-            let jac = (p * (1.0 - p)).max(1e-18);
-            log_post += self.prior.log_density(p) + jac.ln();
-            *g = (self.scratch_grad_p[i] + self.prior.grad(p)) * jac + (1.0 - 2.0 * p);
-        }
-        (log_post, grad)
-    }
 }
 
 impl Sampler for Hmc<'_> {
@@ -158,68 +184,63 @@ impl Sampler for Hmc<'_> {
     }
 
     fn step(&mut self, rng: &mut SimRng) {
-        let n = self.theta.len();
         let eps = self.step_size;
 
         // Fresh Gaussian momentum.
-        let mut r: Vec<f64> = (0..n).map(|_| rng.gaussian()).collect();
-        let kinetic0: f64 = 0.5 * r.iter().map(|v| v * v).sum::<f64>();
+        for r in &mut self.momentum {
+            *r = rng.gaussian();
+        }
+        let kinetic0: f64 = 0.5 * self.momentum.iter().map(|v| v * v).sum::<f64>();
         let h0 = -self.log_post + kinetic0;
         self.last_energy = h0;
 
         // Leapfrog trajectory.
-        let mut theta = self.theta.clone();
-        let mut grad = self.grad_theta.clone();
+        self.traj_theta.copy_from_slice(&self.theta);
+        self.traj_grad.copy_from_slice(&self.grad_theta);
         // Half-step momentum.
-        for i in 0..n {
-            r[i] += 0.5 * eps * grad[i];
+        for (r, g) in self.momentum.iter_mut().zip(&self.traj_grad) {
+            *r += 0.5 * eps * g;
         }
-        let mut diverged = false;
         for step in 0..self.leapfrog_steps {
-            for i in 0..n {
-                theta[i] += eps * r[i];
+            for (t, r) in self.traj_theta.iter_mut().zip(&self.momentum) {
+                *t += eps * r;
             }
-            let (lp, g) = self.log_post_and_grad(&theta);
-            grad = g;
+            self.evals += 1;
+            let lp = self
+                .target
+                .log_post_and_grad(&self.traj_theta, &mut self.traj_grad);
             if !lp.is_finite() {
-                diverged = true;
-                break;
+                // Divergent trajectory: reject, feed zero acceptance into
+                // the adaptation so the step size shrinks.
+                self.proposed += 1;
+                self.divergences += 1;
+                if self.adapting {
+                    self.dual_average(0.0);
+                }
+                return;
             }
-            let coeff = if step + 1 == self.leapfrog_steps {
-                0.5
-            } else {
-                1.0
-            };
-            for i in 0..n {
-                r[i] += coeff * eps * grad[i];
+            let last = step + 1 == self.leapfrog_steps;
+            let coeff = if last { 0.5 } else { 1.0 };
+            for (r, g) in self.momentum.iter_mut().zip(&self.traj_grad) {
+                *r += coeff * eps * g;
             }
-            if step + 1 == self.leapfrog_steps {
+            if last {
                 // Metropolis correction on the total energy.
-                let kinetic1: f64 = 0.5 * r.iter().map(|v| v * v).sum::<f64>();
+                let kinetic1: f64 = 0.5 * self.momentum.iter().map(|v| v * v).sum::<f64>();
                 let h1 = -lp + kinetic1;
                 let log_alpha = (h0 - h1).min(0.0);
                 self.proposed += 1;
                 let alpha = log_alpha.exp();
                 if rng.uniform() < alpha {
-                    self.theta = theta.clone();
+                    std::mem::swap(&mut self.theta, &mut self.traj_theta);
+                    std::mem::swap(&mut self.grad_theta, &mut self.traj_grad);
                     self.log_post = lp;
-                    self.grad_theta = grad.clone();
                     self.refresh_p();
                     self.accepted += 1;
                 }
                 if self.adapting {
                     self.dual_average(alpha);
                 }
-                return;
-            }
-        }
-        if diverged {
-            // Divergent trajectory: reject, feed zero acceptance into the
-            // adaptation so the step size shrinks.
-            self.proposed += 1;
-            self.divergences += 1;
-            if self.adapting {
-                self.dual_average(0.0);
             }
         }
     }
@@ -256,7 +277,8 @@ impl Sampler for Hmc<'_> {
     }
 
     fn grad_evals(&self) -> u64 {
-        // eval and grad always run as a pair in `log_post_and_grad`.
+        // Every evaluation is one fused value-and-gradient pass
+        // (`LogLikelihood::eval_grad_in`), so the two counts agree.
         self.evals
     }
 

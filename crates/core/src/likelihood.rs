@@ -14,19 +14,36 @@
 //! `O(paths-through-i)` operation instead of `O(all paths)` —
 //! [`IncrementalLikelihood`] exploits exactly that.
 //!
+//! ## Fused value and gradient
+//!
+//! HMC needs the value and the gradient at every leapfrog step.
+//! [`LogLikelihood::eval_grad`] computes both in one kernel: each
+//! `log q_i` is computed once per node, each `S_J` once per path, and a
+//! showing path's `log1mexp(S_J)` serves as both its value term and its
+//! gradient's denominator. A clean path's gradient term `−w/q_i` reads a
+//! per-node reciprocal `1/q_i = exp(−log q_i)` ([`GradWorkspace`])
+//! instead of taking one `exp` per incidence. The showing-incidence
+//! exponentials run in one tight loop, and a second walk of the paths
+//! adds them in path order. None of this changes a bit: every sum adds
+//! the same terms in the same order as a separate `eval` and
+//! per-incidence gradient, which the `eval_grad_is_bitwise_eval_plus_grad`
+//! property test checks with `to_bits()`. [`LogLikelihood::grad`] is a
+//! thin wrapper over the same kernel; [`LogLikelihood::eval`] keeps a
+//! value-only walk.
+//!
 //! ## Parallel full evaluation
 //!
-//! [`LogLikelihood::eval`] and [`LogLikelihood::grad`] walk the CSR path
-//! arena in contiguous chunks and, above a tunable path-count threshold
-//! ([`LogLikelihood::with_parallel_threshold`], default
+//! [`LogLikelihood::eval`] and [`LogLikelihood::eval_grad`] walk the CSR
+//! path arena in contiguous chunks and, above a tunable path-count
+//! threshold ([`LogLikelihood::with_parallel_threshold`], default
 //! [`DEFAULT_PARALLEL_THRESHOLD`]), fan the chunks out over scoped
 //! threads — the same dependency-free pattern as
 //! [`crate::chain::run_chains`]. Each thread reduces into a private
-//! accumulator (a scalar for `eval`, a gradient buffer for `grad`) that is
-//! summed on the calling thread, so results are deterministic up to
-//! float-addition order within a fixed thread count. Below the threshold,
-//! or on a single-core host, the evaluation stays serial with zero
-//! threading overhead.
+//! accumulator (a scalar value, plus a gradient buffer for `eval_grad`)
+//! that is summed on the calling thread in chunk order, so results are
+//! deterministic for a fixed thread count. Below the threshold, or on a
+//! single-core host, the evaluation stays serial with zero threading
+//! overhead.
 //!
 //! ## Numerical safety at the `log1mexp` boundary
 //!
@@ -49,7 +66,7 @@ use crate::model::PathData;
 pub const P_EPS: f64 = 1e-9;
 
 /// Default path count above which [`LogLikelihood::eval`] and
-/// [`LogLikelihood::grad`] use scoped threads. Below it the
+/// [`LogLikelihood::eval_grad`] use scoped threads. Below it the
 /// fork/join overhead outweighs the work.
 pub const DEFAULT_PARALLEL_THRESHOLD: usize = 4096;
 
@@ -136,35 +153,138 @@ impl<'a> LogLikelihood<'a> {
     /// For a non-showing path: `∂/∂p_i = −w/q_i`. For a showing path with
     /// `Q = e^{S}`: `∂/∂p_i = w · (Q/q_i) / (1 − Q)`, evaluated as
     /// `w · exp(S − log q_i − log1mexp(S))` to stay stable when `Q → 0`
-    /// or `Q → 1`.
+    /// or `Q → 1`. A wrapper over [`Self::eval_grad`] that drops the value;
+    /// like it, it builds a [`GradWorkspace`] per call, so a loop should
+    /// keep one and call [`Self::eval_grad_in`].
     pub fn grad(&self, p: &[f64], grad: &mut [f64]) {
-        assert_eq!(p.len(), self.data.num_nodes());
-        assert_eq!(grad.len(), p.len());
-        let log_q: Vec<f64> = p.iter().map(|&pi| (1.0 - clamp_p(pi)).ln()).collect();
+        self.eval_grad(p, grad);
+    }
+
+    /// `log P(D | p)`, returned, and its gradient, written into `grad`
+    /// (overwritten), in one kernel.
+    ///
+    /// The value is bitwise [`Self::eval`]'s and the gradient bitwise the
+    /// per-incidence formula of [`Self::grad`]: each path's `S_J` is summed
+    /// in the same order, the value is reduced in the same order, and each
+    /// node's gradient accumulates its paths in path order.
+    pub fn eval_grad(&self, p: &[f64], grad: &mut [f64]) -> f64 {
+        assert_eq!(p.len(), self.data.num_nodes(), "dimension mismatch");
+        let mut ws = self.workspace();
+        ws.fill(p);
+        self.eval_grad_in(&mut ws, grad)
+    }
+
+    /// A [`GradWorkspace`] sized for this dataset.
+    pub fn workspace(&self) -> GradWorkspace {
+        let data = self.data;
+        let mut on_clean = vec![false; data.num_nodes()];
+        for path in data.paths().filter(|path| !path.shows_property) {
+            for &i in path.nodes {
+                on_clean[i as usize] = true;
+            }
+        }
+        GradWorkspace {
+            log_q: vec![0.0; data.num_nodes()],
+            inv_q: vec![0.0; data.num_nodes()],
+            on_clean,
+            chunks: Vec::new(),
+        }
+    }
+
+    /// [`Self::eval_grad`] at the state last written into `ws`, so a
+    /// caller that evaluates repeatedly (HMC) reuses the buffers and the
+    /// `log q` values it already has.
+    pub fn eval_grad_in(&self, ws: &mut GradWorkspace, grad: &mut [f64]) -> f64 {
+        assert_eq!(ws.log_q.len(), self.data.num_nodes(), "dimension mismatch");
+        assert_eq!(grad.len(), ws.log_q.len(), "dimension mismatch");
         grad.fill(0.0);
         let n_paths = self.data.num_paths();
         let threads = self.thread_count(n_paths);
+        let GradWorkspace {
+            log_q,
+            inv_q,
+            chunks,
+            ..
+        } = ws;
+        let (log_q, inv_q) = (&log_q[..], &inv_q[..]);
+        chunks.resize_with(threads, Chunk::default);
         if threads <= 1 {
-            grad_range(self.data, &log_q, 0..n_paths, grad);
-            return;
+            let exps = &mut chunks[0].exps;
+            return eval_grad_range(self.data, log_q, inv_q, 0..n_paths, grad, exps);
         }
         let chunk = n_paths.div_ceil(threads);
-        // Private per-thread gradient buffers, reduced after the join.
-        let mut partials = vec![vec![0.0f64; p.len()]; threads];
+        // Private per-thread value and gradient, reduced after the join in
+        // chunk order.
+        let mut values = vec![0.0f64; threads];
         let data = self.data;
-        let log_q = &log_q;
         std::thread::scope(|scope| {
-            for (t, buf) in partials.iter_mut().enumerate() {
+            for (t, (value, scratch)) in values.iter_mut().zip(chunks.iter_mut()).enumerate() {
                 let lo = t * chunk;
                 let hi = ((t + 1) * chunk).min(n_paths);
-                scope.spawn(move || grad_range(data, log_q, lo..hi, buf));
+                scratch.grad.clear();
+                scratch.grad.resize(grad.len(), 0.0);
+                scope.spawn(move || {
+                    let Chunk { grad, exps } = scratch;
+                    *value = eval_grad_range(data, log_q, inv_q, lo..hi, grad, exps);
+                });
             }
         });
-        for buf in &partials {
-            for (g, b) in grad.iter_mut().zip(buf) {
+        for scratch in chunks.iter() {
+            for (g, b) in grad.iter_mut().zip(&scratch.grad) {
                 *g += b;
             }
         }
+        values.iter().sum()
+    }
+}
+
+/// The state the fused kernel ([`LogLikelihood::eval_grad_in`]) reads,
+/// plus its scratch. Built by [`LogLikelihood::workspace`].
+///
+/// Per node it holds `log q_i = ln(1 − clamp_p(p_i))` and, for nodes on at
+/// least one clean path, the reciprocal `1/q_i = exp(−log q_i)`. Computing
+/// `1/q_i` once per node instead of once per incidence is what makes clean
+/// paths cheap: their gradient term `−w/q_i` becomes a multiply, and the
+/// value is the same f64 the per-incidence `exp` gave. Nodes seen only on
+/// showing paths never read it, so it is skipped there.
+#[derive(Clone, Debug)]
+pub struct GradWorkspace {
+    log_q: Vec<f64>,
+    inv_q: Vec<f64>,
+    on_clean: Vec<bool>,
+    /// Scratch per path chunk, kept across calls.
+    chunks: Vec<Chunk>,
+}
+
+/// One path chunk's scratch: its partial gradient (parallel evaluation
+/// only) and its showing-incidence exponents, then their exponentials.
+#[derive(Clone, Debug, Default)]
+struct Chunk {
+    grad: Vec<f64>,
+    exps: Vec<f64>,
+}
+
+impl GradWorkspace {
+    /// Set node `i` to state `p`.
+    #[inline]
+    pub fn set(&mut self, i: usize, p: f64) {
+        let log_q = (1.0 - clamp_p(p)).ln();
+        self.log_q[i] = log_q;
+        if self.on_clean[i] {
+            self.inv_q[i] = (-log_q).exp();
+        }
+    }
+
+    /// Set every node from the state vector `p`.
+    pub fn fill(&mut self, p: &[f64]) {
+        for (i, &pi) in p.iter().enumerate() {
+            self.set(i, pi);
+        }
+    }
+
+    /// `ln(1 − clamp_p(p_i))` per node.
+    pub fn log_q(&self) -> &[f64] {
+        &self.log_q
     }
 }
 
@@ -194,30 +314,73 @@ fn eval_range(data: &PathData, log_q: &[f64], range: Range<usize>) -> f64 {
     total
 }
 
-/// Accumulate the gradient contribution of paths in `range` into `grad`.
-fn grad_range(data: &PathData, log_q: &[f64], range: Range<usize>, grad: &mut [f64]) {
+/// The fused kernel: return the log-likelihood contribution of paths in
+/// `range` and accumulate their gradient into `grad`.
+///
+/// Each path's `S_J` is summed once and serves both the value and the
+/// gradient. The value terms are exactly [`eval_range`]'s; a showing
+/// path's `log1mexp(S_J)` is both its value term and the gradient's
+/// denominator. The showing-incidence exponentials are taken in a
+/// separate tight loop over `exps`, where independent calls overlap,
+/// and then added in path order — the order a single walk would add
+/// them — so every gradient sum is bitwise unchanged.
+fn eval_grad_range(
+    data: &PathData,
+    log_q: &[f64],
+    inv_q: &[f64],
+    range: Range<usize>,
+    grad: &mut [f64],
+    exps: &mut Vec<f64>,
+) -> f64 {
     let (arena, meta) = data.path_csr();
-    let mut lo = meta[range.start].offset as usize;
-    for j in range {
-        let hi = meta[j + 1].offset as usize;
-        let wshow = meta[j].wshow;
-        let nodes = &arena[lo..hi];
-        lo = hi;
+    let paths = || {
+        let mut lo = meta[range.start].offset as usize;
+        range.clone().map(move |j| {
+            let hi = meta[j + 1].offset as usize;
+            let path = (&arena[lo..hi], meta[j].wshow);
+            lo = hi;
+            path
+        })
+    };
+
+    // Value, and the exponent `S − log q_i − log(1 − Q)` of every showing
+    // incidence's gradient term. The range's incidence count bounds the
+    // exponents, so `extend` below never reallocates.
+    exps.clear();
+    exps.reserve((meta[range.end].offset - meta[range.start].offset) as usize);
+    let mut total = 0.0;
+    for (path, wshow) in paths() {
         let w = f64::from(wshow >> 1);
-        let s: f64 = nodes.iter().map(|&i| log_q[i as usize]).sum();
+        let s: f64 = path.iter().map(|&i| log_q[i as usize]).sum();
         if wshow & 1 == 1 {
             let s = s.min(0.0);
             let log_denom = log1mexp(s); // log(1 − Q)
-            for &i in nodes {
-                grad[i as usize] += w * (s - log_q[i as usize] - log_denom).exp();
+            total += w * log_denom;
+            exps.extend(path.iter().map(|&i| s - log_q[i as usize] - log_denom));
+        } else {
+            total += w * s;
+        }
+    }
+    for x in exps.iter_mut() {
+        *x = x.exp();
+    }
+
+    // Gradient, in path order.
+    let mut exps = exps.iter();
+    for (path, wshow) in paths() {
+        let w = f64::from(wshow >> 1);
+        if wshow & 1 == 1 {
+            for (&i, e) in path.iter().zip(exps.by_ref()) {
+                grad[i as usize] += w * e;
             }
         } else {
-            for &i in nodes {
-                // −1/q_i = −exp(−log q_i)
-                grad[i as usize] -= w * (-log_q[i as usize]).exp();
+            for &i in path {
+                // −1/q_i
+                grad[i as usize] -= w * inv_q[i as usize];
             }
         }
     }
+    total
 }
 
 /// Incremental evaluator: caches per-path `S_J` and the total, and updates
@@ -453,6 +616,154 @@ mod tests {
         let d_clean = data(&[(&[1], false)]);
         LogLikelihood::new(&d_clean).grad(&[0.5], &mut g);
         assert!(g[0] < 0.0);
+    }
+
+    /// The gradient as computed before value and gradient shared the
+    /// fused kernel: its own `log q` table, one `exp` per clean incidence,
+    /// and the same chunking and chunk-order reduction as
+    /// [`LogLikelihood::eval_grad_in`].
+    fn reference_grad(ll: &LogLikelihood, p: &[f64]) -> Vec<f64> {
+        let data = ll.data();
+        let log_q: Vec<f64> = p.iter().map(|&pi| (1.0 - clamp_p(pi)).ln()).collect();
+        let (arena, meta) = data.path_csr();
+        let grad_range = |range: Range<usize>, grad: &mut [f64]| {
+            let mut lo = meta[range.start].offset as usize;
+            for j in range {
+                let hi = meta[j + 1].offset as usize;
+                let wshow = meta[j].wshow;
+                let nodes = &arena[lo..hi];
+                lo = hi;
+                let w = f64::from(wshow >> 1);
+                let s: f64 = nodes.iter().map(|&i| log_q[i as usize]).sum();
+                if wshow & 1 == 1 {
+                    let s = s.min(0.0);
+                    let log_denom = log1mexp(s);
+                    for &i in nodes {
+                        grad[i as usize] += w * (s - log_q[i as usize] - log_denom).exp();
+                    }
+                } else {
+                    for &i in nodes {
+                        grad[i as usize] -= w * (-log_q[i as usize]).exp();
+                    }
+                }
+            }
+        };
+        let mut grad = vec![0.0; p.len()];
+        let n_paths = data.num_paths();
+        let threads = ll.thread_count(n_paths);
+        if threads <= 1 {
+            grad_range(0..n_paths, &mut grad);
+            return grad;
+        }
+        let chunk = n_paths.div_ceil(threads);
+        for t in 0..threads {
+            let mut buf = vec![0.0; p.len()];
+            grad_range(t * chunk..((t + 1) * chunk).min(n_paths), &mut buf);
+            for (g, b) in grad.iter_mut().zip(&buf) {
+                *g += b;
+            }
+        }
+        grad
+    }
+
+    /// `eval_grad` must return `eval`'s value and the reference gradient,
+    /// bit for bit.
+    fn assert_fused_bitwise(ll: &LogLikelihood, p: &[f64]) {
+        let mut g = vec![f64::NAN; p.len()];
+        let value = ll.eval_grad(p, &mut g);
+        assert_eq!(value.to_bits(), ll.eval(p).to_bits(), "value at p={p:?}");
+        let want = reference_grad(ll, p);
+        for (i, (a, b)) in g.iter().zip(&want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "grad[{i}]: {a} vs {b} at p={p:?}");
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut g2 = vec![f64::NAN; p.len()];
+        ll.grad(p, &mut g2);
+        assert_eq!(bits(&g), bits(&g2));
+        // A workspace reused from another state, as HMC reuses it.
+        let mut ws = ll.workspace();
+        let other: Vec<f64> = p.iter().map(|&x| 1.0 - x).collect();
+        ws.fill(&other);
+        ll.eval_grad_in(&mut ws, &mut g2);
+        ws.fill(p);
+        assert_eq!(ll.eval_grad_in(&mut ws, &mut g2).to_bits(), value.to_bits());
+        assert_eq!(bits(&g), bits(&g2));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Fused value and gradient equal `eval` and the unfused gradient
+        /// bitwise: weights > 1, show-only, clean-only and single-node
+        /// paths, `p` at the clamp boundaries, serial and forced-parallel.
+        #[test]
+        fn eval_grad_is_bitwise_eval_plus_grad(
+            paths in proptest::collection::vec(
+                (proptest::collection::vec(0u32..10, 1..6), proptest::prelude::any::<bool>(), 1u32..4),
+                1..30
+            ),
+            labels in 0u8..3,
+            states in proptest::collection::vec((0u8..8, 0.0f64..1.0), 10),
+        ) {
+            let mut obs = Vec::new();
+            for (ids, shows, copies) in &paths {
+                // 0: as drawn; 1: show-only; 2: clean-only.
+                let shows = match labels {
+                    0 => *shows,
+                    1 => true,
+                    _ => false,
+                };
+                for _ in 0..*copies {
+                    obs.push(PathObservation::new(ids.iter().map(|&i| NodeId(i)).collect(), shows));
+                }
+            }
+            let d = PathData::from_observations(&obs, &[]);
+            let p: Vec<f64> = (0..d.num_nodes())
+                .map(|i| match states[i] {
+                    (0, _) => P_EPS,
+                    (1, _) => 1.0 - P_EPS,
+                    (2, _) => 0.0,
+                    (3, _) => 1.0,
+                    (4, _) => 2.0 * P_EPS,
+                    (_, u) => u,
+                })
+                .collect();
+            for threshold in [usize::MAX, 0] {
+                assert_fused_bitwise(&LogLikelihood::new(&d).with_parallel_threshold(threshold), &p);
+            }
+        }
+    }
+
+    /// A dataset large enough that the forced-parallel path really splits
+    /// into chunks (on a multi-core host): still bitwise the reference.
+    #[test]
+    fn chunked_eval_grad_is_bitwise_reference() {
+        let mut obs = Vec::new();
+        let mut x = 7u64;
+        for k in 0..5000u32 {
+            let mut nodes = Vec::new();
+            for _ in 0..1 + k % 4 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                nodes.push(NodeId((x >> 33) as u32 % 300));
+            }
+            obs.push(PathObservation::new(nodes, k % 3 != 0));
+        }
+        let d = PathData::from_observations(&obs, &[]);
+        let p: Vec<f64> = (0..d.num_nodes())
+            .map(|i| match i % 7 {
+                0 => P_EPS,
+                1 => 1.0 - P_EPS,
+                _ => (i as f64 * 0.37).fract(),
+            })
+            .collect();
+        for threshold in [usize::MAX, 0] {
+            assert_fused_bitwise(
+                &LogLikelihood::new(&d).with_parallel_threshold(threshold),
+                &p,
+            );
+        }
     }
 
     #[test]

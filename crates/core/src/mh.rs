@@ -18,7 +18,7 @@ use crate::chain::{Sampler, SamplerKind};
 use crate::checkpoint::{CheckpointError, Checkpointable, Reader, Writer};
 use crate::likelihood::{clamp_p, IncrementalLikelihood};
 use crate::model::PathData;
-use crate::prior::Prior;
+use crate::prior::{LogPrior, Prior};
 
 /// Target acceptance rate for per-coordinate scale adaptation.
 const TARGET_ACCEPT: f64 = 0.44;
@@ -27,7 +27,11 @@ const TARGET_ACCEPT: f64 = 0.44;
 pub struct MetropolisHastings<'a> {
     p: Vec<f64>,
     likelihood: IncrementalLikelihood<'a>,
-    prior: Prior,
+    prior: LogPrior,
+    /// `prior.log_density(p[i])` per coordinate, so a proposal evaluates
+    /// the prior once (at the candidate). Derived from `p`: rebuilt, not
+    /// checkpointed.
+    prior_at: Vec<f64>,
     scale: Vec<f64>,
     order: Vec<usize>,
     accepted: u64,
@@ -45,7 +49,9 @@ impl<'a> MetropolisHastings<'a> {
         let init: Vec<f64> = init.into_iter().map(clamp_p).collect();
         let likelihood = IncrementalLikelihood::new(data, &init);
         let n = init.len();
+        let prior = LogPrior::new(prior);
         MetropolisHastings {
+            prior_at: init.iter().map(|&p| prior.log_density(p)).collect(),
             p: init,
             likelihood,
             prior,
@@ -102,13 +108,16 @@ impl Sampler for MetropolisHastings<'_> {
             let current = self.p[i];
             let candidate = Self::reflect(current + self.scale[i] * rng.gaussian());
             let delta_lik = self.likelihood.delta(i, candidate);
-            let delta_prior = self.prior.log_density(candidate) - self.prior.log_density(current);
+            let prior_candidate = self.prior.log_density(candidate);
+            let delta_prior = prior_candidate - self.prior_at[i];
             let log_alpha = delta_lik + delta_prior;
             self.proposed += 1;
             self.window_proposed[i] += 1;
             if log_alpha >= 0.0 || rng.uniform() < log_alpha.exp() {
                 self.likelihood.commit(i, candidate, delta_lik);
                 self.p[i] = clamp_p(candidate);
+                // The prior clamps too, so this is the density at `p[i]`.
+                self.prior_at[i] = prior_candidate;
                 self.accepted += 1;
                 self.window_accepted[i] += 1;
             }
@@ -184,6 +193,7 @@ impl Checkpointable for MetropolisHastings<'_> {
                 p.len()
             )));
         }
+        self.prior_at = p.iter().map(|&pi| self.prior.log_density(pi)).collect();
         self.p = p;
         self.likelihood.restore_state(r)?;
         self.scale = r.f64_vec()?;

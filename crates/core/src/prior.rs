@@ -37,15 +37,10 @@ impl Default for Prior {
 }
 
 impl Prior {
-    /// Log density at `p` (normalised).
+    /// Log density at `p` (normalised). For repeated evaluation, build a
+    /// [`LogPrior`] once instead.
     pub fn log_density(&self, p: f64) -> f64 {
-        let p = clamp_p(p);
-        match *self {
-            Prior::Uniform => 0.0,
-            Prior::Beta { alpha, beta } => {
-                (alpha - 1.0) * p.ln() + (beta - 1.0) * (1.0 - p).ln() - ln_beta(alpha, beta)
-            }
-        }
+        LogPrior::new(*self).log_density(p)
     }
 
     /// `d log density / d p`.
@@ -55,11 +50,6 @@ impl Prior {
             Prior::Uniform => 0.0,
             Prior::Beta { alpha, beta } => (alpha - 1.0) / p - (beta - 1.0) / (1.0 - p),
         }
-    }
-
-    /// Total log density of a vector under independent priors.
-    pub fn log_density_vec(&self, p: &[f64]) -> f64 {
-        p.iter().map(|&pi| self.log_density(pi)).sum()
     }
 
     /// Draw an initial state from the prior.
@@ -76,6 +66,59 @@ impl Prior {
             Prior::Uniform => 0.5,
             Prior::Beta { alpha, beta } => alpha / (alpha + beta),
         }
+    }
+}
+
+/// A [`Prior`] prepared for evaluation in a sampler loop: the Beta
+/// normaliser `ln B(α, β)` (three Lanczos `ln Γ`) is computed once here
+/// rather than on every call.
+#[derive(Clone, Copy, Debug)]
+pub struct LogPrior {
+    prior: Prior,
+    ln_norm: f64,
+}
+
+impl LogPrior {
+    /// Hoist the prior's constants.
+    pub fn new(prior: Prior) -> Self {
+        let ln_norm = match prior {
+            Prior::Uniform => 0.0,
+            Prior::Beta { alpha, beta } => ln_beta(alpha, beta),
+        };
+        LogPrior { prior, ln_norm }
+    }
+
+    /// Log density at `p`.
+    pub fn log_density(&self, p: f64) -> f64 {
+        self.log_density_log_q(p, (1.0 - clamp_p(p)).ln())
+    }
+
+    /// Log density at `p`, given `log_q = ln(1 − clamp_p(p))` — the value
+    /// the likelihood already computed for the same node, which is
+    /// exactly the prior's `ln(1 − p)` term.
+    ///
+    /// With `α = 1` the term `(α − 1)·ln p` is `0 · ln p = −0.0` (the
+    /// clamped `p` is below 1, so `ln p < 0`), and `−0.0 + x = x` for
+    /// every `x`, so the logarithm is skipped without changing a bit.
+    #[inline]
+    pub fn log_density_log_q(&self, p: f64, log_q: f64) -> f64 {
+        match self.prior {
+            Prior::Uniform => 0.0,
+            Prior::Beta { alpha, beta } => {
+                let b_term = (beta - 1.0) * log_q;
+                if alpha == 1.0 {
+                    b_term - self.ln_norm
+                } else {
+                    (alpha - 1.0) * clamp_p(p).ln() + b_term - self.ln_norm
+                }
+            }
+        }
+    }
+
+    /// `d log density / d p` (see [`Prior::grad`]).
+    #[inline]
+    pub fn grad(&self, p: f64) -> f64 {
+        self.prior.grad(p)
     }
 }
 
@@ -138,6 +181,62 @@ mod tests {
         let n = 50_000;
         let mean: f64 = (0..n).map(|_| b.sample(&mut rng)).sum::<f64>() / n as f64;
         assert!((mean - b.mean()).abs() < 0.01, "mean={mean}");
+    }
+
+    /// The density as written before its constants were hoisted.
+    fn reference_log_density(prior: Prior, p: f64) -> f64 {
+        let p = clamp_p(p);
+        match prior {
+            Prior::Uniform => 0.0,
+            Prior::Beta { alpha, beta } => {
+                (alpha - 1.0) * p.ln() + (beta - 1.0) * (1.0 - p).ln() - ln_beta(alpha, beta)
+            }
+        }
+    }
+
+    /// The hoisted terms are bitwise the unhoisted density, including
+    /// when the log of `1 − p` is supplied by the likelihood.
+    #[test]
+    fn log_prior_is_bitwise_log_density() {
+        use crate::likelihood::P_EPS;
+        let priors = [
+            Prior::Uniform,
+            Prior::default(),
+            Prior::Beta {
+                alpha: 2.0,
+                beta: 5.0,
+            },
+            Prior::Beta {
+                alpha: 0.5,
+                beta: 0.5,
+            },
+            Prior::Beta {
+                alpha: 1.0,
+                beta: 1.0,
+            },
+            Prior::Beta {
+                alpha: 3.0,
+                beta: 1.0,
+            },
+        ];
+        let mut rng = SimRng::new(8);
+        let mut ps = vec![0.0, P_EPS, 2.0 * P_EPS, 0.5, 1.0 - P_EPS, 1.0, -0.5, 1.5];
+        ps.extend((0..200).map(|_| rng.uniform()));
+        for prior in priors {
+            let hoisted = LogPrior::new(prior);
+            for &p in &ps {
+                let want = reference_log_density(prior, p).to_bits();
+                let log_q = (1.0 - clamp_p(p)).ln();
+                assert_eq!(prior.log_density(p).to_bits(), want, "{prior:?} p={p}");
+                assert_eq!(hoisted.log_density(p).to_bits(), want, "{prior:?} p={p}");
+                assert_eq!(
+                    hoisted.log_density_log_q(p, log_q).to_bits(),
+                    want,
+                    "{prior:?} p={p} with log q"
+                );
+                assert_eq!(hoisted.grad(p).to_bits(), prior.grad(p).to_bits());
+            }
+        }
     }
 
     #[test]

@@ -223,6 +223,17 @@ pub fn label_dump_with_outages(
     out
 }
 
+/// Bucket bounds (minutes) of the `r_delta_mins` histogram. They straddle
+/// the 5-minute labeling threshold and the RFD max-suppress ceiling
+/// (≈ 60 min), then run past the 2-hour Break: a damped route that stays
+/// suppressed until the Break's re-advertisement shows an r-delta of
+/// about 165–180 min (the Burst's tail plus the Break), and the fine
+/// buckets there keep that mass from landing in one overflow bucket.
+pub const R_DELTA_BOUNDS_MINS: &[f64] = &[
+    1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 45.0, 60.0, 90.0, 120.0, 150.0, 160.0, 165.0, 170.0, 175.0,
+    180.0, 190.0, 240.0,
+];
+
 /// Snapshot a label set into a `signature.labels` report section:
 /// RFD/clean path counts and the r-delta distribution (minutes).
 pub fn obs_section(labels: &[LabeledPath]) -> obs::Section {
@@ -236,9 +247,7 @@ pub fn obs_section(labels: &[LabeledPath]) -> obs::Section {
         "pairs_unobservable",
         labels.iter().map(|l| l.pairs_unobservable as u64).sum(),
     );
-    // Bounds straddle the 5-minute labeling threshold up to the RFD
-    // max-suppress ceiling (≈ 60 min plus reuse-timer slack).
-    let mut r_deltas = obs::Histogram::new(&[1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 45.0, 60.0, 90.0]);
+    let mut r_deltas = obs::Histogram::new(R_DELTA_BOUNDS_MINS);
     for l in labels {
         for d in &l.r_deltas {
             r_deltas.record(d.as_mins_f64());
@@ -616,6 +625,42 @@ mod tests {
             }
             other => panic!("expected histogram, got {other:?}"),
         }
+    }
+
+    /// Damped routes released only at the Break's re-advertisement show
+    /// r-deltas of 168–180 min; each must land in a finite bucket, and
+    /// the range must spread over several, not pile into one.
+    #[test]
+    fn break_length_r_deltas_land_in_finite_buckets() {
+        let mins = [168.0, 171.5, 174.0, 176.5, 179.0, 180.0];
+        let l = LabeledPath {
+            vantage: AsId(1),
+            prefix: "10.0.0.0/24".parse().unwrap(),
+            path: clean_path(&[AsId(1), AsId(2)].iter().copied().collect::<AsPath>()).unwrap(),
+            pairs_total: mins.len(),
+            pairs_matching: mins.len(),
+            r_deltas: mins
+                .iter()
+                .map(|&m| SimDuration::from_secs((m * 60.0) as u64))
+                .collect(),
+            break_deltas: Vec::new(),
+            pairs_unobservable: 0,
+            rfd: true,
+            unobservable: false,
+        };
+        let section = obs_section(&[l]);
+        let Some(obs::Value::Histogram(h)) = section.get("r_delta_mins") else {
+            panic!("expected the r_delta_mins histogram");
+        };
+        assert_eq!(h.count, mins.len() as u64);
+        let overflow = *h.counts.last().expect("overflow bucket");
+        assert_eq!(overflow, 0, "no r-delta may overflow: {:?}", h.counts);
+        let used = h.counts.iter().filter(|&&c| c > 0).count();
+        assert!(
+            used >= 3,
+            "168–180 min must spread over buckets: {:?}",
+            h.counts
+        );
     }
 
     #[test]
