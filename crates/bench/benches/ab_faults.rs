@@ -9,9 +9,10 @@
 //! engine is untouched and the kernels only gained (cold) checkpoint
 //! codecs, so any measured delta is binary-layout noise. The
 //! enabled-cost counterparts live next to the code they price:
-//! `beacon_burst/one_2h_burst_1min_faulted` (simulator),
-//! `pipeline/campaign_simulation_faulted` (whole pipeline) and
-//! `mh_chain_run/supervised_default` (samplers).
+//! `beacon_burst/one_2h_burst_1min_faulted` (simulator) and
+//! `pipeline/campaign_simulation_faulted` (whole pipeline). Every chain
+//! runs through the supervised driver, so `mh_chain_run/plain` (samplers)
+//! already includes the disabled supervisor checks.
 
 use because::chain::Sampler;
 use because::mh::MetropolisHastings;

@@ -3,7 +3,7 @@
 //! bump and histogram record has to be a handful of nanoseconds.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use obs::{Counter, Histogram, Registry, SpanSet};
+use obs::{Counter, Histogram, SpanSet};
 use std::hint::black_box;
 
 fn bench_counter(c: &mut Criterion) {
@@ -51,24 +51,9 @@ fn bench_span(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_registry(c: &mut Criterion) {
-    let mut group = c.benchmark_group("obs_primitives");
-    let mut registry = Registry::new();
-    let id = registry.counter("bench_counter");
-    group.bench_function("registry_atomic_inc_1k", |b| {
-        b.iter(|| {
-            for _ in 0..1000 {
-                registry.inc(id);
-            }
-            black_box(&registry)
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     name = benches;
     config = Criterion::default();
-    targets = bench_counter, bench_histogram, bench_span, bench_registry
+    targets = bench_counter, bench_histogram, bench_span
 );
 criterion_main!(benches);

@@ -1,10 +1,10 @@
 //! MCMC kernels: MH sweeps vs HMC trajectories (the §3.2 comparison),
 //! plus the prior-sensitivity and step-count ablations from DESIGN.md.
 
-use because::chain::{run_chain, run_chain_observed, ChainConfig, Sampler};
+use because::chain::{ChainConfig, Sampler};
 use because::hmc::Hmc;
 use because::mh::MetropolisHastings;
-use because::{Prior, TraceProgress};
+use because::{run_chains, Prior, Progress, SupervisorConfig};
 use bench::synthetic_paths;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netsim::SimRng;
@@ -30,10 +30,10 @@ fn bench_mh_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// The enabled-tracing A/B: a full MH chain run through the plain driver
-/// vs the observed driver with a `TraceProgress` recorder at the default
-/// cadence. The delta is the whole cost of per-k snapshots (Welford
-/// means + incremental split-R̂/min-ESS) plus the ring-buffer pushes.
+/// The enabled-tracing A/B: a full MH chain run through the driver with
+/// nothing observed vs with a trace recorder at the default cadence. The
+/// delta is the whole cost of per-k snapshots (Welford means +
+/// incremental split-R̂/min-ESS) plus the ring-buffer pushes.
 fn bench_chain_run_traced(c: &mut Criterion) {
     let mut group = c.benchmark_group("mh_chain_run");
     group.sample_size(10);
@@ -43,51 +43,30 @@ fn bench_chain_run_traced(c: &mut Criterion) {
         samples: 200,
         thin: 1,
     };
-    group.bench_function("plain", |b| {
-        b.iter(|| {
-            let mut rng = SimRng::new(5);
-            let chain = run_chain(
-                MetropolisHastings::from_prior(&data, Prior::default(), &mut rng),
-                &config,
-                &mut rng,
-            );
-            black_box(chain.len())
-        })
-    });
-    // The supervised-driver A/B: the same chain through the default
-    // supervisor (no checkpoint, no resume, no watchdog). The delta is
-    // the whole cost of the per-iteration disabled-feature checks the
-    // crash-safe driver adds over the bare loop.
-    group.bench_function("supervised_default", |b| {
-        b.iter(|| {
-            let rng = SimRng::new(5);
-            let run = because::run_chains_supervised(
-                |_k, rng| MetropolisHastings::from_prior(&data, Prior::default(), rng),
-                |_k| because::NoProgress,
-                1,
-                &config,
-                &rng,
-                &because::SupervisorConfig::default(),
-                "mh",
-            );
-            let (completed, failures) = run.into_parts();
-            black_box((completed.len(), failures.len()))
-        })
-    });
-    group.bench_function("traced_every_50", |b| {
-        b.iter(|| {
-            let mut rng = SimRng::new(5);
-            let mut observer = TraceProgress::new(50, 2048, std::time::Instant::now(), 0);
-            let chain = run_chain_observed(
-                MetropolisHastings::from_prior(&data, Prior::default(), &mut rng),
-                &config,
-                &mut rng,
-                0,
-                &mut observer,
-            );
-            black_box((chain.len(), observer.into_buffer().len()))
-        })
-    });
+    let run = |trace: bool| {
+        let out = run_chains(
+            |_k, rng| MetropolisHastings::from_prior(&data, Prior::default(), rng),
+            |_k| Progress {
+                cadence: 50,
+                trace: trace.then(|| obs::TraceBuffer::new(2048)),
+                ..Default::default()
+            },
+            1,
+            &config,
+            &SimRng::new(5),
+            &SupervisorConfig::default(),
+            "mh",
+        );
+        let (completed, _) = out.into_parts();
+        let (_, chain, observer) = &completed[0];
+        let events = observer
+            .as_ref()
+            .and_then(|o| o.trace.as_ref())
+            .map_or(0, |t| t.len());
+        (chain.len(), events)
+    };
+    group.bench_function("plain", |b| b.iter(|| black_box(run(false))));
+    group.bench_function("traced_every_50", |b| b.iter(|| black_box(run(true))));
     group.finish();
 }
 

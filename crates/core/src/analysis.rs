@@ -11,18 +11,17 @@ use serde::{Deserialize, Serialize};
 use netsim::SimRng;
 
 use crate::category::Category;
-use crate::chain::{Chain, ChainConfig};
+use crate::chain::{Chain, ChainConfig, SamplerKind};
+use crate::checkpoint::Checkpointable;
 use crate::diagnostics;
 use crate::hmc::Hmc;
 use crate::mh::MetropolisHastings;
 use crate::model::{NodeId, PathData};
 use crate::pinpoint::{apply_pinpoint, pinpoint_inconsistent};
 use crate::prior::Prior;
-use crate::progress::{
-    ChainPhase, ProgressObserver, ProgressSnapshot, ServeProgress, StderrTicker, TraceProgress,
-};
+use crate::progress::Progress;
 use crate::summary::Marginal;
-use crate::supervisor::{run_chains_supervised, SupervisorConfig};
+use crate::supervisor::{run_chains, SupervisorConfig};
 
 /// Pipeline configuration.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -181,59 +180,63 @@ pub struct Analysis {
     pub checkpoints_written: u64,
 }
 
-/// Per-chain observer combining the optional stderr ticker and the
-/// optional trace recorder under one cadence.
-struct RunObserver {
-    ticker: Option<StderrTicker>,
-    trace: Option<TraceProgress>,
-    serve: Option<ServeProgress>,
+/// One kernel's share of a supervised run.
+#[derive(Default)]
+struct KernelRun {
+    /// Completed chains, in index order.
+    chains: Vec<Chain>,
+    /// Their observers.
+    observers: Vec<Progress>,
+    /// Wall-clock of the whole kernel run.
+    secs: f64,
+    failures: Vec<ChainFailure>,
+    resumed_chains: usize,
+    checkpoints_written: u64,
 }
 
-impl ProgressObserver for RunObserver {
-    fn every(&self) -> usize {
-        // All constituents share one cadence; any active one carries it.
-        match (&self.ticker, &self.trace, &self.serve) {
-            (Some(t), _, _) => t.every(),
-            (None, Some(t), _) => t.every(),
-            (None, None, Some(t)) => t.every(),
-            (None, None, None) => 0,
-        }
-    }
-
-    fn observe(&mut self, snap: &ProgressSnapshot) {
-        if let Some(t) = &mut self.ticker {
-            t.observe(snap);
-        }
-        if let Some(t) = &mut self.trace {
-            t.observe(snap);
-        }
-        if let Some(t) = &mut self.serve {
-            t.observe(snap);
-        }
-    }
-
-    fn begin_phase(
-        &mut self,
-        chain_index: usize,
-        kind: crate::chain::SamplerKind,
-        phase: ChainPhase,
-    ) {
-        if let Some(t) = &mut self.trace {
-            t.begin_phase(chain_index, kind, phase);
-        }
-    }
-
-    fn end_phase(
-        &mut self,
-        chain_index: usize,
-        kind: crate::chain::SamplerKind,
-        phase: ChainPhase,
-    ) {
-        if let Some(t) = &mut self.trace {
-            t.end_phase(chain_index, kind, phase);
-        }
-        if let Some(t) = &mut self.serve {
-            t.end_phase(chain_index, kind, phase);
+impl KernelRun {
+    /// Run `config.n_chains` chains of one kernel under `sup`, with
+    /// checkpoint tag `"mh"` / `"hmc"`.
+    fn run<S: Checkpointable + Send>(
+        kind: SamplerKind,
+        make_sampler: impl Fn(usize, &mut SimRng) -> S + Sync,
+        make_observer: impl Fn(usize) -> Progress + Sync,
+        rng: &SimRng,
+        config: &AnalysisConfig,
+        sup: &SupervisorConfig,
+    ) -> KernelRun {
+        let watch = obs::Stopwatch::start();
+        let tag = kind.name().to_ascii_lowercase();
+        let run = run_chains(
+            make_sampler,
+            make_observer,
+            config.n_chains,
+            &config.chain,
+            &rng.split(&tag),
+            sup,
+            &tag,
+        );
+        let resumed_chains = run.resumed_chains();
+        let checkpoints_written = run.checkpoints_written();
+        let (done, failed) = run.into_parts();
+        let (chains, observers) = done
+            .into_iter()
+            .map(|(_, chain, o)| (chain, o.expect("completed chain keeps its observer")))
+            .unzip();
+        KernelRun {
+            chains,
+            observers,
+            secs: watch.elapsed_secs(),
+            failures: failed
+                .into_iter()
+                .map(|(chain_index, reason)| ChainFailure {
+                    kernel: kind.name(),
+                    chain_index,
+                    reason,
+                })
+                .collect(),
+            resumed_chains,
+            checkpoints_written,
         }
     }
 }
@@ -268,116 +271,67 @@ impl Analysis {
         );
         let rng = SimRng::new(config.seed);
 
-        // Progress/trace observers share one cadence and wall epoch; lane
-        // bases keep MH and HMC chains on distinct trace lanes.
+        // Every chain's observer shares one cadence and wall epoch; lane
+        // bases keep MH and HMC chains on distinct trace lanes. The serve
+        // endpoint is live only when `--serve` installed one.
         let epoch = std::time::Instant::now();
-        let cadence = if config.progress_every > 0 {
-            config.progress_every
-        } else {
-            50
-        };
         let make_observer = |lane_base: u64| {
-            move |_k: usize| RunObserver {
-                ticker: (config.progress_every > 0)
-                    .then(|| StderrTicker::new(config.progress_every)),
+            move |_k: usize| Progress {
+                cadence: if config.progress_every > 0 {
+                    config.progress_every
+                } else {
+                    50
+                },
+                ticker: config.progress_every > 0,
                 trace: config
                     .trace
-                    .then(|| TraceProgress::new(cadence, 2048, epoch, lane_base)),
-                // Live only when a `--serve` endpoint was installed in
-                // this process; otherwise the unobserved zero-cost path.
-                serve: ServeProgress::installed(cadence),
+                    .then(|| obs::TraceBuffer::with_epoch(2048, epoch)),
+                lane_base,
+                serve: obs::serve::installed(),
             }
         };
 
-        let mut failures: Vec<ChainFailure> = Vec::new();
-        let mut resumed_chains = 0usize;
-        let mut checkpoints_written = 0u64;
-
-        let mh_watch = obs::Stopwatch::start();
-        let (mh_chains, mh_observers): (Vec<Chain>, Vec<RunObserver>) = if config.run_mh {
-            let mh_rng = rng.split("mh");
-            let run = run_chains_supervised(
+        let mh = if config.run_mh {
+            KernelRun::run(
+                SamplerKind::MetropolisHastings,
                 |_k, r: &mut SimRng| MetropolisHastings::from_prior(data, config.prior, r),
                 make_observer(0),
-                config.n_chains,
-                &config.chain,
-                &mh_rng,
+                &rng,
+                config,
                 sup,
-                "mh",
-            );
-            resumed_chains += run.resumed_chains();
-            checkpoints_written += run.checkpoints_written();
-            let (done, failed) = run.into_parts();
-            failures.extend(
-                failed
-                    .into_iter()
-                    .map(|(chain_index, reason)| ChainFailure {
-                        kernel: "MH",
-                        chain_index,
-                        reason,
-                    }),
-            );
-            done.into_iter()
-                .map(|(_, chain, obs)| (chain, obs.expect("completed chain keeps its observer")))
-                .unzip()
+            )
         } else {
-            (Vec::new(), Vec::new())
+            KernelRun::default()
         };
-        let mh_secs = if config.run_mh {
-            mh_watch.elapsed_secs()
-        } else {
-            0.0
-        };
-        let hmc_watch = obs::Stopwatch::start();
-        let hmc_lane_base = if config.run_mh {
-            config.n_chains as u64
-        } else {
-            0
-        };
-        let (hmc_chains, hmc_observers): (Vec<Chain>, Vec<RunObserver>) = if config.run_hmc {
-            let hmc_rng = rng.split("hmc");
-            let run = run_chains_supervised(
+        let hmc = if config.run_hmc {
+            KernelRun::run(
+                SamplerKind::Hmc,
                 |_k, r: &mut SimRng| Hmc::from_prior(data, config.prior, r),
-                make_observer(hmc_lane_base),
-                config.n_chains,
-                &config.chain,
-                &hmc_rng,
+                make_observer(if config.run_mh {
+                    config.n_chains as u64
+                } else {
+                    0
+                }),
+                &rng,
+                config,
                 sup,
-                "hmc",
-            );
-            resumed_chains += run.resumed_chains();
-            checkpoints_written += run.checkpoints_written();
-            let (done, failed) = run.into_parts();
-            failures.extend(
-                failed
-                    .into_iter()
-                    .map(|(chain_index, reason)| ChainFailure {
-                        kernel: "HMC",
-                        chain_index,
-                        reason,
-                    }),
-            );
-            done.into_iter()
-                .map(|(_, chain, obs)| (chain, obs.expect("completed chain keeps its observer")))
-                .unzip()
+            )
         } else {
-            (Vec::new(), Vec::new())
-        };
-        let hmc_secs = if config.run_hmc {
-            hmc_watch.elapsed_secs()
-        } else {
-            0.0
+            KernelRun::default()
         };
         let trace = config.trace.then(|| {
-            let chains = mh_observers.len() + hmc_observers.len();
+            let chains = mh.observers.len() + hmc.observers.len();
             let mut merged = obs::TraceBuffer::with_epoch(2048 * chains.max(1), epoch);
-            for o in mh_observers.into_iter().chain(hmc_observers) {
+            for o in mh.observers.into_iter().chain(hmc.observers) {
                 if let Some(t) = o.trace {
-                    merged.merge(t.into_buffer());
+                    merged.merge(t);
                 }
             }
             merged
         });
+        let (mh_chains, hmc_chains) = (mh.chains, hmc.chains);
+        let mut failures = mh.failures;
+        failures.extend(hmc.failures);
 
         let mh_pooled = (!mh_chains.is_empty()).then(|| Chain::pooled(&mh_chains));
         let hmc_pooled = (!hmc_chains.is_empty()).then(|| Chain::pooled(&hmc_chains));
@@ -481,12 +435,12 @@ impl Analysis {
             min_ess_bulk,
             min_ess_tail,
             e_bfmi,
-            mh_secs,
-            hmc_secs,
+            mh_secs: mh.secs,
+            hmc_secs: hmc.secs,
             trace,
             failures,
-            resumed_chains,
-            checkpoints_written,
+            resumed_chains: mh.resumed_chains + hmc.resumed_chains,
+            checkpoints_written: mh.checkpoints_written + hmc.checkpoints_written,
         }
     }
 
@@ -824,6 +778,7 @@ mod tests {
                 thin: 1,
             },
             n_chains: 2,
+            trace: true,
             ..AnalysisConfig::fast(11)
         };
         let mut base = std::env::temp_dir();
@@ -861,6 +816,19 @@ mod tests {
             assert_eq!(ra.category, rb.category);
             assert_eq!(ra.mh.map(|m| m.mean), rb.mh.map(|m| m.mean));
             assert_eq!(ra.hmc.map(|m| m.mean), rb.hmc.map(|m| m.mean));
+        }
+
+        // Resumed chains skip warmup, yet every chain lane is still
+        // named and carries its sampling span.
+        let buf = second.trace.as_ref().expect("trace requested");
+        for lane in (0..4).map(obs::Lane) {
+            assert!(buf.lane_name(lane).is_some(), "{lane:?} unnamed");
+            assert!(
+                buf.events().any(|e| e.lane == lane
+                    && e.name == "sampling"
+                    && e.kind == obs::TraceKind::Begin),
+                "{lane:?} has no sampling span"
+            );
         }
 
         // The resume surfaces in the run report; a default run stays

@@ -1,5 +1,5 @@
-//! The sampler abstraction and chain driver: warmup, thinning, and
-//! parallel multi-chain execution.
+//! The sampler abstraction, the chain of draws it produces, and the
+//! single-chain entry point to the driver in [`crate::supervisor`].
 //!
 //! Draws are stored row-major in one flat `Vec<f64>` (draw `s`, coordinate
 //! `i` at `s * dim + i`) instead of a `Vec` per draw: one allocation per
@@ -9,7 +9,9 @@
 use netsim::SimRng;
 use serde::{Deserialize, Serialize};
 
-use crate::progress::{ChainPhase, NoProgress, ProgressObserver, ProgressSnapshot};
+use crate::checkpoint::Checkpointable;
+use crate::progress::Progress;
+use crate::supervisor::{run_one, ChainOutcome, SupervisorConfig};
 
 /// Which MCMC kernel produced a chain.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -120,11 +122,11 @@ pub struct Chain {
     pub likelihood_evals: u64,
     /// Likelihood gradient evaluations (0 for gradient-free kernels).
     pub grad_evals: u64,
-    /// Wall-clock spent in warmup (0 for chains not built by
-    /// [`run_chain`]).
+    /// Wall-clock spent in warmup (0 for chains not built by the
+    /// driver, or resumed past warmup).
     pub warmup_secs: f64,
     /// Wall-clock spent collecting samples (0 for chains not built by
-    /// [`run_chain`]).
+    /// the driver).
     pub sampling_secs: f64,
     /// Per-retained-draw trajectory energies (`NaN` entries for kernels
     /// without an energy notion; empty for synthetic chains).
@@ -319,176 +321,26 @@ impl Chain {
     }
 }
 
-/// Run one chain: warmup with adaptation, then collect thinned samples.
-pub fn run_chain<S: Sampler>(sampler: S, config: &ChainConfig, rng: &mut SimRng) -> Chain {
-    // `NoProgress` monomorphises `every == 0`, so the observed driver
-    // collapses back to the bare warmup/sampling loops.
-    run_chain_observed(sampler, config, rng, 0, &mut NoProgress)
-}
-
-/// [`run_chain`] with a [`ProgressObserver`] called every
-/// `observer.every()` iterations (see [`crate::progress`]).
-///
-/// Observation never touches the RNG, so an observed run produces a
-/// draw-for-draw identical chain to an unobserved one.
-pub fn run_chain_observed<S: Sampler, O: ProgressObserver>(
-    mut sampler: S,
-    config: &ChainConfig,
-    rng: &mut SimRng,
-    chain_index: usize,
-    observer: &mut O,
-) -> Chain {
-    let every = observer.every();
-    let kind = sampler.kind();
-    let warmup_watch = obs::Stopwatch::start();
-    if every > 0 {
-        observer.begin_phase(chain_index, kind, ChainPhase::Warmup);
+/// Run one chain on a caller-owned RNG: warmup with adaptation, then
+/// collect thinned samples. This is the loop of
+/// [`crate::supervisor::run_chains`] with observation and supervision
+/// off, for callers that drive a single kernel on their own stream.
+pub fn run_chain<S: Checkpointable>(sampler: S, config: &ChainConfig, rng: &mut SimRng) -> Chain {
+    let sup = SupervisorConfig::default();
+    let run = run_one(sampler, config, &sup, "", rng, 0, &mut Progress::default())
+        .expect("an unsupervised chain touches no checkpoint");
+    match run.outcome {
+        ChainOutcome::Completed(chain) => chain,
+        other => unreachable!("an unsupervised chain ended {}", other.status()),
     }
-    for it in 0..config.warmup {
-        sampler.step(rng);
-        sampler.adapt(it, config.warmup);
-        if every > 0 && (it + 1) % every == 0 {
-            observer.observe(&ProgressSnapshot {
-                chain_index,
-                kind,
-                phase: ChainPhase::Warmup,
-                iteration: it + 1,
-                total: config.warmup,
-                accept_rate: sampler.acceptance_rate(),
-                divergences: sampler.divergences(),
-                means: &[],
-                split_r_hat: f64::NAN,
-                min_ess: f64::NAN,
-            });
-        }
-    }
-    if every > 0 {
-        observer.end_phase(chain_index, kind, ChainPhase::Warmup);
-    }
-    let warmup_secs = warmup_watch.elapsed_secs();
-    let mut chain = Chain::with_capacity(kind, sampler.dim(), config.samples);
-    let sampling_watch = obs::Stopwatch::start();
-    let thin = config.thin.max(1);
-    if every > 0 {
-        observer.begin_phase(chain_index, kind, ChainPhase::Sampling);
-    }
-    // Welford online means over retained draws (only maintained when
-    // observed — the unobserved path allocates nothing).
-    let mut means: Vec<f64> = if every > 0 {
-        vec![0.0; sampler.dim()]
-    } else {
-        Vec::new()
-    };
-    // Divergence watermark: only trajectories inside the sampling phase
-    // mark draws (warmup divergences are the kernel's problem to adapt
-    // away, not the posterior's).
-    let mut prev_div = sampler.divergences();
-    for s in 0..config.samples {
-        for _ in 0..thin {
-            sampler.step(rng);
-        }
-        chain.push_row(sampler.state());
-        chain.energies.push(sampler.energy());
-        let div = sampler.divergences();
-        if div != prev_div {
-            chain.divergent_draws.push(s);
-            prev_div = div;
-        }
-        if every > 0 {
-            let n = (s + 1) as f64;
-            for (m, &x) in means.iter_mut().zip(sampler.state()) {
-                *m += (x - *m) / n;
-            }
-            if (s + 1) % every == 0 {
-                observer.observe(&ProgressSnapshot {
-                    chain_index,
-                    kind,
-                    phase: ChainPhase::Sampling,
-                    iteration: s + 1,
-                    total: config.samples,
-                    accept_rate: sampler.acceptance_rate(),
-                    divergences: sampler.divergences(),
-                    means: &means,
-                    split_r_hat: crate::diagnostics::max_r_hat(std::slice::from_ref(&chain)),
-                    min_ess: crate::diagnostics::min_ess(&chain),
-                });
-            }
-        }
-    }
-    if every > 0 {
-        observer.end_phase(chain_index, kind, ChainPhase::Sampling);
-    }
-    chain.accept_rate = sampler.acceptance_rate();
-    chain.proposals = sampler.proposals();
-    chain.divergences = sampler.divergences();
-    chain.likelihood_evals = sampler.likelihood_evals();
-    chain.grad_evals = sampler.grad_evals();
-    chain.warmup_secs = warmup_secs;
-    chain.sampling_secs = sampling_watch.elapsed_secs();
-    chain
-}
-
-/// Run `n_chains` independent chains in parallel threads.
-///
-/// `make_sampler` builds a fresh kernel per chain (typically with
-/// overdispersed initial states); each chain gets a decorrelated RNG
-/// stream derived from `rng`.
-pub fn run_chains<S, F>(
-    make_sampler: F,
-    n_chains: usize,
-    config: &ChainConfig,
-    rng: &SimRng,
-) -> Vec<Chain>
-where
-    S: Sampler + Send,
-    F: Fn(usize, &mut SimRng) -> S + Sync,
-{
-    run_chains_observed(make_sampler, |_| NoProgress, n_chains, config, rng)
-        .into_iter()
-        .map(|(chain, _)| chain)
-        .collect()
-}
-
-/// [`run_chains`] with a per-chain [`ProgressObserver`] built by
-/// `make_observer(k)`. Each observer runs on its chain's thread (no
-/// shared sink, no locks) and is returned alongside its chain so callers
-/// can recover owned state (e.g. a [`crate::progress::TraceProgress`]
-/// buffer to merge).
-pub fn run_chains_observed<S, F, O, G>(
-    make_sampler: F,
-    make_observer: G,
-    n_chains: usize,
-    config: &ChainConfig,
-    rng: &SimRng,
-) -> Vec<(Chain, O)>
-where
-    S: Sampler + Send,
-    F: Fn(usize, &mut SimRng) -> S + Sync,
-    O: ProgressObserver + Send,
-    G: Fn(usize) -> O + Sync,
-{
-    let mut out: Vec<Option<(Chain, O)>> = (0..n_chains).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (k, slot) in out.iter_mut().enumerate() {
-            let make_sampler = &make_sampler;
-            let make_observer = &make_observer;
-            let mut chain_rng = rng.split_index("chain", k as u64);
-            scope.spawn(move || {
-                let sampler = make_sampler(k, &mut chain_rng);
-                let mut observer = make_observer(k);
-                let chain = run_chain_observed(sampler, config, &mut chain_rng, k, &mut observer);
-                *slot = Some((chain, observer));
-            });
-        }
-    });
-    out.into_iter()
-        .map(|c| c.expect("chain thread completed"))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{CheckpointError, Reader, Writer};
+    use crate::progress::{ChainPhase, ProgressObserver, ProgressSnapshot};
+    use crate::supervisor::run_chains;
 
     /// A toy kernel: independent draws from N(μ, 1) via a random-walk —
     /// enough to test the driver plumbing.
@@ -531,6 +383,47 @@ mod tests {
         fn kind(&self) -> SamplerKind {
             SamplerKind::MetropolisHastings
         }
+    }
+
+    /// The driver's bound; these tests never checkpoint a toy.
+    impl Checkpointable for Toy {
+        fn save_sampler(&self, _: &mut Writer) {}
+        fn restore_sampler(&mut self, _: &mut Reader<'_>) -> Result<(), CheckpointError> {
+            Ok(())
+        }
+    }
+
+    /// Run `n` chains with per-chain observers, returning each completed
+    /// chain with its observer.
+    fn run_observed<F, O, G>(
+        make: F,
+        make_observer: G,
+        n: usize,
+        cfg: &ChainConfig,
+        rng: &SimRng,
+    ) -> Vec<(Chain, O)>
+    where
+        F: Fn(usize, &mut SimRng) -> Toy + Sync,
+        O: ProgressObserver + Send,
+        G: Fn(usize) -> O + Sync,
+    {
+        let sup = SupervisorConfig::default();
+        let (done, failed) = run_chains(make, make_observer, n, cfg, rng, &sup, "toy").into_parts();
+        assert!(failed.is_empty(), "failures: {failed:?}");
+        done.into_iter()
+            .map(|(_, chain, o)| (chain, o.expect("completed chain keeps its observer")))
+            .collect()
+    }
+
+    /// Run `n` unobserved chains.
+    fn run_plain<F>(make: F, n: usize, cfg: &ChainConfig, rng: &SimRng) -> Vec<Chain>
+    where
+        F: Fn(usize, &mut SimRng) -> Toy + Sync,
+    {
+        run_observed(make, |_| Progress::default(), n, cfg, rng)
+            .into_iter()
+            .map(|(chain, _)| chain)
+            .collect()
     }
 
     #[test]
@@ -594,8 +487,8 @@ mod tests {
             accepted: 0,
             proposed: 0,
         };
-        let a = run_chains(make, 3, &cfg, &rng);
-        let b = run_chains(make, 3, &cfg, &rng);
+        let a = run_plain(make, 3, &cfg, &rng);
+        let b = run_plain(make, 3, &cfg, &rng);
         assert_eq!(a.len(), 3);
         for (ca, cb) in a.iter().zip(&b) {
             assert_eq!(ca.flat(), cb.flat(), "same seed → same chains");
@@ -616,7 +509,7 @@ mod tests {
             accepted: 0,
             proposed: 0,
         };
-        let chains = run_chains(make, 4, &cfg, &rng);
+        let chains = run_plain(make, 4, &cfg, &rng);
         let pooled = Chain::pooled(&chains);
         assert_eq!(pooled.len(), 80);
         assert_eq!(pooled.column(0).len(), 80);
@@ -694,15 +587,17 @@ mod tests {
             accepted: 0,
             proposed: 0,
         };
-        let mut rng_a = SimRng::new(21);
-        let plain = run_chain(make(), &cfg, &mut rng_a);
-        let mut rng_b = SimRng::new(21);
-        let mut collector = Collector {
+        let rng = SimRng::new(21);
+        let mut chain_rng = rng.split_index("chain", 0);
+        let plain = run_chain(make(), &cfg, &mut chain_rng);
+        let observer = |_k: usize| Collector {
             every: 50,
             snaps: Vec::new(),
             phases: Vec::new(),
         };
-        let observed = run_chain_observed(make(), &cfg, &mut rng_b, 0, &mut collector);
+        let (observed, collector) = run_observed(|_, _| make(), observer, 1, &cfg, &rng)
+            .pop()
+            .expect("one chain");
         assert_eq!(
             plain.flat(),
             observed.flat(),
@@ -740,7 +635,7 @@ mod tests {
     }
 
     #[test]
-    fn run_chains_observed_returns_observer_per_chain() {
+    fn run_chains_returns_observer_per_chain() {
         let rng = SimRng::new(5);
         let cfg = ChainConfig {
             warmup: 20,
@@ -752,7 +647,7 @@ mod tests {
             accepted: 0,
             proposed: 0,
         };
-        let results = run_chains_observed(
+        let results = run_observed(
             make,
             |_k| Collector {
                 every: 20,
@@ -769,7 +664,7 @@ mod tests {
             assert_eq!(collector.snaps.len(), 1 + 3);
         }
         // Observed and plain multi-chain runs agree draw-for-draw too.
-        let plain = run_chains(make, 3, &cfg, &rng);
+        let plain = run_plain(make, 3, &cfg, &rng);
         for (p, (o, _)) in plain.iter().zip(&results) {
             assert_eq!(p.flat(), o.flat());
         }

@@ -65,10 +65,6 @@ pub use checkpoint::{CheckpointError, Checkpointable};
 pub use likelihood::{LogLikelihood, DEFAULT_PARALLEL_THRESHOLD};
 pub use model::{NodeId, PathData, PathObservation, PathRef};
 pub use prior::Prior;
-pub use progress::{
-    ChainPhase, NoProgress, ProgressObserver, ProgressSnapshot, StderrTicker, TraceProgress,
-};
+pub use progress::{ChainPhase, Progress, ProgressObserver, ProgressSnapshot};
 pub use summary::Marginal;
-pub use supervisor::{
-    run_chains_supervised, ChainOutcome, SupervisedRun, SupervisorConfig, KILL_EXIT_CODE,
-};
+pub use supervisor::{run_chains, ChainOutcome, SupervisedRun, SupervisorConfig, KILL_EXIT_CODE};

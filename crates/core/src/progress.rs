@@ -1,24 +1,23 @@
 //! Streaming sampler diagnostics: the [`ProgressObserver`] hook on the
-//! chain driver.
+//! chain driver and the one observer that ships with the crate.
 //!
-//! [`crate::chain::run_chain_observed`] calls the observer every `k`
-//! iterations with a [`ProgressSnapshot`] — running accept rate, Welford
-//! online means, and an incremental split-R̂ / min-ESS estimate over the
-//! draws collected so far (reusing the capped estimators in
-//! [`crate::diagnostics`]). Two observers ship with the crate:
+//! [`crate::supervisor::run_chains`] calls each chain's observer every
+//! `k` iterations with a [`ProgressSnapshot`] — running accept rate,
+//! Welford online means, and an incremental split-R̂ / min-ESS estimate
+//! over the draws collected so far (reusing the capped estimators in
+//! [`crate::diagnostics`]). [`Progress`] fans each snapshot out to
+//! whatever is armed, under one cadence:
 //!
-//! * [`StderrTicker`] — one line per snapshot on stderr, the
-//!   `--progress [every-n]` flag of the experiment binaries;
-//! * [`TraceProgress`] — records the same snapshots as wall-clock
-//!   counter events in an owned [`obs::TraceBuffer`], one lane per
-//!   chain, for the Chrome-trace export;
-//! * [`ServeProgress`] — publishes the same snapshots to the
-//!   process-global [`obs::serve`] endpoint (the `--serve <addr>` flag),
-//!   feeding the live `/metrics` and `/progress` views.
+//! * a stderr ticker line — the `--progress [every-n]` flag of the
+//!   experiment binaries;
+//! * wall-clock counter events in an owned [`obs::TraceBuffer`], one lane
+//!   per chain, for the Chrome-trace export;
+//! * the process-global [`obs::serve`] endpoint (the `--serve <addr>`
+//!   flag), feeding the live `/metrics` and `/progress` views.
 //!
-//! The unobserved path uses [`NoProgress`], whose `every()` of 0 lets
-//! the driver skip every per-iteration check after one branch — the
-//! monomorphised loop is identical to the pre-observer code.
+//! With nothing armed, `every()` is 0 and the driver skips every
+//! snapshot after one branch per iteration. Observation never touches
+//! the RNG, so observed and unobserved runs draw identically.
 
 use crate::chain::SamplerKind;
 
@@ -73,7 +72,7 @@ pub struct ProgressSnapshot<'a> {
     pub min_ess: f64,
 }
 
-/// Observer hook for [`crate::chain::run_chain_observed`].
+/// Observer hook for [`crate::supervisor::run_chains`].
 pub trait ProgressObserver {
     /// Snapshot cadence in iterations; `0` disables observation (the
     /// driver then skips all snapshot bookkeeping).
@@ -93,199 +92,119 @@ pub trait ProgressObserver {
     }
 }
 
-/// The disabled observer: `every() == 0`, nothing recorded.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoProgress;
-
-impl ProgressObserver for NoProgress {
-    fn every(&self) -> usize {
-        0
-    }
-    fn observe(&mut self, _snap: &ProgressSnapshot) {}
+/// The production observer: one cadence, fanned out to a stderr ticker,
+/// a trace buffer and the serve endpoint, each armed independently.
+/// [`Progress::default`] arms nothing (`every() == 0`).
+#[derive(Debug, Default)]
+pub struct Progress {
+    /// Snapshot cadence in iterations (at least 1 once anything is armed).
+    pub cadence: usize,
+    /// Print one stderr line per snapshot.
+    pub ticker: bool,
+    /// Record phases as spans and snapshots as counter samples
+    /// (`accept_rate`, `split_r_hat`, `min_ess`, `divergences`, and
+    /// `mean0` — the first coordinate's running mean), chain `k` on lane
+    /// `lane_base + k`, named (`"MH chain 0"`) on the first phase seen.
+    /// Share one wall-clock epoch across buffers that will merge.
+    pub trace: Option<obs::TraceBuffer>,
+    /// Lane offset, so several kernels' buffers merge without colliding
+    /// (e.g. MH at 0, HMC at `n_chains`).
+    pub lane_base: u64,
+    /// Publish snapshots to this endpoint's `/progress` table and
+    /// `/metrics` series, and mark the chain done when sampling ends.
+    pub serve: Option<&'static std::sync::Arc<obs::serve::ServeState>>,
 }
 
-/// Prints one stderr line per snapshot — the `--progress` ticker.
-#[derive(Clone, Copy, Debug)]
-pub struct StderrTicker {
-    every: usize,
-}
-
-impl StderrTicker {
-    /// A ticker firing every `every` iterations (`every >= 1`).
-    pub fn new(every: usize) -> StderrTicker {
-        StderrTicker {
-            every: every.max(1),
-        }
-    }
-}
-
-impl ProgressObserver for StderrTicker {
-    fn every(&self) -> usize {
-        self.every
-    }
-
-    fn observe(&mut self, s: &ProgressSnapshot) {
-        match s.phase {
-            ChainPhase::Warmup => eprintln!(
-                "progress {} chain {} {} {}/{} accept={:.3}",
-                s.kind.name(),
-                s.chain_index,
-                s.phase.name(),
-                s.iteration,
-                s.total,
-                s.accept_rate,
-            ),
-            ChainPhase::Sampling => eprintln!(
-                "progress {} chain {} {} {}/{} accept={:.3} Rhat={:.3} minESS={:.1} div={}",
-                s.kind.name(),
-                s.chain_index,
-                s.phase.name(),
-                s.iteration,
-                s.total,
-                s.accept_rate,
-                s.split_r_hat,
-                s.min_ess,
-                s.divergences,
-            ),
-        }
-    }
-}
-
-/// Records snapshots as wall-clock trace events in an owned buffer.
-///
-/// Each chain gets one lane (`Lane(chain_index)`), named on the first
-/// phase boundary (`"MH chain 0"`). Phases become spans; snapshots
-/// become counter samples (`accept_rate`, `split_r_hat`, `min_ess`,
-/// `divergences`, and `mean0` — the first coordinate's running mean).
-#[derive(Debug)]
-pub struct TraceProgress {
-    every: usize,
-    lane_base: u64,
-    buf: obs::TraceBuffer,
-}
-
-impl TraceProgress {
-    /// An observer sampling every `every` iterations into a buffer of
-    /// `cap` events with the given wall-clock epoch (share one epoch
-    /// across chains so merged stamps are comparable). `lane_base`
-    /// offsets the chain lanes so several kernels' buffers can merge
-    /// without colliding (e.g. MH at 0, HMC at `n_chains`).
-    pub fn new(
-        every: usize,
-        cap: usize,
-        epoch: std::time::Instant,
-        lane_base: u64,
-    ) -> TraceProgress {
-        TraceProgress {
-            every: every.max(1),
-            lane_base,
-            buf: obs::TraceBuffer::with_epoch(cap, epoch),
-        }
-    }
-
+impl Progress {
     fn lane(&self, chain_index: usize) -> obs::Lane {
         obs::Lane(self.lane_base + chain_index as u64)
     }
-
-    /// The recorded buffer.
-    pub fn into_buffer(self) -> obs::TraceBuffer {
-        self.buf
-    }
 }
 
-impl ProgressObserver for TraceProgress {
+impl ProgressObserver for Progress {
     fn every(&self) -> usize {
-        self.every
+        if self.ticker || self.trace.is_some() || self.serve.is_some() {
+            self.cadence.max(1)
+        } else {
+            0
+        }
     }
 
     fn observe(&mut self, s: &ProgressSnapshot) {
-        let lane = self.lane(s.chain_index);
-        self.buf.counter_wall("accept_rate", lane, s.accept_rate);
-        if s.phase == ChainPhase::Sampling {
-            self.buf.counter_wall("split_r_hat", lane, s.split_r_hat);
-            self.buf.counter_wall("min_ess", lane, s.min_ess);
-            if let Some(&m) = s.means.first() {
-                self.buf.counter_wall("mean0", lane, m);
+        if self.ticker {
+            match s.phase {
+                ChainPhase::Warmup => eprintln!(
+                    "progress {} chain {} {} {}/{} accept={:.3}",
+                    s.kind.name(),
+                    s.chain_index,
+                    s.phase.name(),
+                    s.iteration,
+                    s.total,
+                    s.accept_rate,
+                ),
+                ChainPhase::Sampling => eprintln!(
+                    "progress {} chain {} {} {}/{} accept={:.3} Rhat={:.3} minESS={:.1} div={}",
+                    s.kind.name(),
+                    s.chain_index,
+                    s.phase.name(),
+                    s.iteration,
+                    s.total,
+                    s.accept_rate,
+                    s.split_r_hat,
+                    s.min_ess,
+                    s.divergences,
+                ),
             }
         }
-        if s.divergences > 0 {
-            self.buf
-                .counter_wall("divergences", lane, s.divergences as f64);
+        let lane = self.lane(s.chain_index);
+        if let Some(buf) = &mut self.trace {
+            buf.counter_wall("accept_rate", lane, s.accept_rate);
+            if s.phase == ChainPhase::Sampling {
+                buf.counter_wall("split_r_hat", lane, s.split_r_hat);
+                buf.counter_wall("min_ess", lane, s.min_ess);
+                if let Some(&m) = s.means.first() {
+                    buf.counter_wall("mean0", lane, m);
+                }
+            }
+            if s.divergences > 0 {
+                buf.counter_wall("divergences", lane, s.divergences as f64);
+            }
+        }
+        if let Some(state) = self.serve {
+            state.record_progress(obs::serve::ChainProgress {
+                kernel: s.kind.name(),
+                chain_index: s.chain_index,
+                phase: s.phase.name(),
+                iteration: s.iteration,
+                total: s.total,
+                accept_rate: s.accept_rate,
+                divergences: s.divergences,
+                split_r_hat: s.split_r_hat,
+                min_ess: s.min_ess,
+            });
         }
     }
 
     fn begin_phase(&mut self, chain_index: usize, kind: SamplerKind, phase: ChainPhase) {
         let lane = self.lane(chain_index);
-        if phase == ChainPhase::Warmup {
-            self.buf
-                .set_lane_name(lane, &format!("{} chain {chain_index}", kind.name()));
+        if let Some(buf) = &mut self.trace {
+            // A resumed chain starts at sampling, so name on any phase.
+            if buf.lane_name(lane).is_none() {
+                buf.set_lane_name(lane, &format!("{} chain {chain_index}", kind.name()));
+            }
+            buf.begin_wall(phase.name(), lane);
         }
-        self.buf.begin_wall(phase.name(), lane);
-    }
-
-    fn end_phase(&mut self, chain_index: usize, _kind: SamplerKind, phase: ChainPhase) {
-        let lane = self.lane(chain_index);
-        self.buf.end_wall(phase.name(), lane);
-    }
-}
-
-/// Publishes snapshots to the process-global [`obs::serve`] endpoint:
-/// each one updates the `/progress` chain table and the standard
-/// registry metrics (`repro_draws`, `repro_accept_rate`,
-/// `repro_split_r_hat`, …) scraped at `/metrics`.
-///
-/// Observation never touches the RNG, and when no endpoint is installed
-/// [`ServeProgress::installed`] returns `None` — the driver then runs
-/// the unobserved (zero-cost) path.
-pub struct ServeProgress {
-    every: usize,
-    state: &'static std::sync::Arc<obs::serve::ServeState>,
-}
-
-impl std::fmt::Debug for ServeProgress {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeProgress")
-            .field("every", &self.every)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ServeProgress {
-    /// An observer posting every `every` iterations to the installed
-    /// endpoint, or `None` when no [`obs::serve::install`] happened in
-    /// this process.
-    pub fn installed(every: usize) -> Option<ServeProgress> {
-        obs::serve::installed().map(|state| ServeProgress {
-            every: every.max(1),
-            state,
-        })
-    }
-}
-
-impl ProgressObserver for ServeProgress {
-    fn every(&self) -> usize {
-        self.every
-    }
-
-    fn observe(&mut self, s: &ProgressSnapshot) {
-        self.state.record_progress(obs::serve::ChainProgress {
-            kernel: s.kind.name(),
-            chain_index: s.chain_index,
-            phase: s.phase.name(),
-            iteration: s.iteration,
-            total: s.total,
-            accept_rate: s.accept_rate,
-            divergences: s.divergences,
-            split_r_hat: s.split_r_hat,
-            min_ess: s.min_ess,
-        });
     }
 
     fn end_phase(&mut self, chain_index: usize, kind: SamplerKind, phase: ChainPhase) {
+        let lane = self.lane(chain_index);
+        if let Some(buf) = &mut self.trace {
+            buf.end_wall(phase.name(), lane);
+        }
         // Flip the chain's `/progress` row to "done" when sampling closes
         // so a finished chain is not reported mid-flight forever.
-        if phase == ChainPhase::Sampling {
-            self.state.mark_done(kind.name(), chain_index);
+        if let (Some(state), ChainPhase::Sampling) = (self.serve, phase) {
+            state.mark_done(kind.name(), chain_index);
         }
     }
 }
@@ -295,19 +214,40 @@ mod tests {
     use super::*;
 
     #[test]
-    fn no_progress_is_disabled() {
-        assert_eq!(NoProgress.every(), 0);
+    fn every_is_zero_until_something_is_armed() {
+        assert_eq!(Progress::default().every(), 0);
+        let cadence = |p: Progress| p.every();
+        assert_eq!(
+            cadence(Progress {
+                cadence: 50,
+                ..Default::default()
+            }),
+            0
+        );
+        assert_eq!(
+            cadence(Progress {
+                ticker: true,
+                ..Default::default()
+            }),
+            1
+        );
+        assert_eq!(
+            cadence(Progress {
+                cadence: 50,
+                ticker: true,
+                ..Default::default()
+            }),
+            50
+        );
     }
 
     #[test]
-    fn ticker_clamps_cadence() {
-        assert_eq!(StderrTicker::new(0).every(), 1);
-        assert_eq!(StderrTicker::new(50).every(), 50);
-    }
-
-    #[test]
-    fn trace_progress_records_lanes_phases_and_counters() {
-        let mut tp = TraceProgress::new(10, 256, std::time::Instant::now(), 0);
+    fn trace_records_lanes_phases_and_counters() {
+        let mut tp = Progress {
+            cadence: 10,
+            trace: Some(obs::TraceBuffer::new(256)),
+            ..Default::default()
+        };
         tp.begin_phase(2, SamplerKind::Hmc, ChainPhase::Warmup);
         tp.observe(&ProgressSnapshot {
             chain_index: 2,
@@ -337,7 +277,7 @@ mod tests {
         });
         tp.end_phase(2, SamplerKind::Hmc, ChainPhase::Sampling);
 
-        let buf = tp.into_buffer();
+        let buf = tp.trace.expect("trace armed");
         assert_eq!(buf.lane_name(obs::Lane(2)), Some("HMC chain 2"));
         let count = |name: &str, kind: obs::TraceKind| {
             buf.events()

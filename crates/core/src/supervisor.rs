@@ -1,11 +1,13 @@
-//! Supervised multi-chain execution: panic isolation, a wall-clock
-//! watchdog, and checkpoint/resume on top of the plain chain driver.
+//! The chain driver: one warmup/sampling loop, run in parallel threads
+//! under supervision.
 //!
-//! [`run_chains_supervised`] runs the *exact* loop of
-//! [`crate::chain::run_chains_observed`] — same per-chain RNG streams,
-//! same step/adapt/observe order — so with a default
-//! [`SupervisorConfig`] the draws are bit-identical to an unsupervised
-//! run. On top of that shape it adds:
+//! [`run_chains`] runs `n_chains` chains, chain `k` on the RNG stream
+//! `rng.split_index("chain", k)`; [`crate::chain::run_chain`] runs the
+//! same loop once on a caller-owned RNG. Each iteration steps the kernel
+//! (and adapts it during warmup), and every `observer.every()`
+//! iterations hands a [`ProgressSnapshot`] to the chain's observer. With
+//! a default [`SupervisorConfig`] nothing else happens; enabled, the
+//! supervisor adds
 //!
 //! * **panic isolation** — a chain that panics (a poisoned likelihood, a
 //!   bug in a kernel) is caught with `catch_unwind`, reported as
@@ -23,9 +25,10 @@
 //!   without a (valid) checkpoint simply start fresh; a *corrupt*
 //!   checkpoint poisons only that chain, with a typed reason.
 //!
-//! Checkpoints are only taken at sampling-draw boundaries: warmup is
-//! cheap relative to sampling and skipping it keeps the format to one
-//! well-defined cut point.
+//! Neither observation nor supervision draws from the RNG, so every
+//! combination produces the same chains. Checkpoints are only taken at
+//! sampling-draw boundaries: warmup is cheap relative to sampling and
+//! skipping it keeps the format to one well-defined cut point.
 
 use std::path::{Path, PathBuf};
 
@@ -40,8 +43,7 @@ use crate::progress::{ChainPhase, ProgressObserver, ProgressSnapshot};
 /// real failure).
 pub const KILL_EXIT_CODE: i32 = 86;
 
-/// Supervision settings; the default disables every feature and makes
-/// [`run_chains_supervised`] equivalent to the plain driver.
+/// Supervision settings; the default disables every feature.
 #[derive(Clone, Debug, Default)]
 pub struct SupervisorConfig {
     /// Base path for *writing* checkpoints (`<base>.<tag>.<k>` per
@@ -72,7 +74,8 @@ pub struct SupervisorConfig {
 pub enum ChainOutcome {
     /// Ran to completion.
     Completed(Chain),
-    /// Stopped early by `stop_after_draws` with a checkpoint on disk.
+    /// Stopped early by `stop_after_draws`; the stop point is
+    /// checkpointed only when `checkpoint` is set.
     Interrupted {
         /// Retained draws at the stop point.
         samples_done: u64,
@@ -118,7 +121,7 @@ pub struct SupervisedChain<O> {
     pub checkpoints_written: u64,
 }
 
-/// The outcome of [`run_chains_supervised`], one entry per chain index.
+/// The outcome of [`run_chains`], one entry per chain index.
 #[derive(Debug)]
 pub struct SupervisedRun<O> {
     /// Per-chain outcomes in index order.
@@ -177,8 +180,8 @@ fn kind_tag(kind: SamplerKind) -> u8 {
     }
 }
 
-struct RunOne {
-    outcome: ChainOutcome,
+pub(crate) struct RunOne {
+    pub(crate) outcome: ChainOutcome,
     resumed_from: Option<u64>,
     checkpoints_written: u64,
 }
@@ -285,11 +288,9 @@ fn restore_checkpoint<S: Checkpointable>(
     Ok(samples_done)
 }
 
-/// The supervised single-chain loop. Mirrors
-/// [`crate::chain::run_chain_observed`] exactly (same step/adapt/observe
-/// order, no extra RNG draws), adding only the resume prologue and the
-/// deadline/checkpoint hooks.
-fn run_one<S: Checkpointable, O: ProgressObserver>(
+/// The warmup/sampling loop of one chain, with the resume prologue and
+/// the deadline/checkpoint hooks of `sup`.
+pub(crate) fn run_one<S: Checkpointable, O: ProgressObserver>(
     mut sampler: S,
     config: &ChainConfig,
     sup: &SupervisorConfig,
@@ -362,6 +363,8 @@ fn run_one<S: Checkpointable, O: ProgressObserver>(
     if every > 0 {
         observer.begin_phase(chain_index, kind, ChainPhase::Sampling);
     }
+    // Welford online means over retained draws (only maintained when
+    // observed — the unobserved path allocates nothing).
     let mut means: Vec<f64> = if every > 0 {
         vec![0.0; sampler.dim()]
     } else {
@@ -377,9 +380,10 @@ fn run_one<S: Checkpointable, O: ProgressObserver>(
             }
         }
     }
-    // Divergence watermark, as in `run_chain_observed`. After a resume
-    // the restored kernel counters make this bit-exact with the
-    // uninterrupted run.
+    // Divergence watermark: only trajectories inside the sampling phase
+    // mark draws (warmup divergences are the kernel's problem to adapt
+    // away, not the posterior's). After a resume the restored kernel
+    // counters make this bit-exact with the uninterrupted run.
     let mut prev_div = sampler.divergences();
     for s in start_draw..config.samples {
         if let Some(d) = deadline {
@@ -489,13 +493,16 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// [`crate::chain::run_chains_observed`] with supervision. `tag` names
-/// the kernel in checkpoint files (conventionally `"mh"` / `"hmc"`).
+/// Run `n_chains` independent chains in parallel threads under `sup`.
 ///
-/// Per-chain RNG streams are derived exactly as in the plain driver
-/// (`rng.split_index("chain", k)`), so a default `sup` reproduces an
-/// unsupervised run draw for draw.
-pub fn run_chains_supervised<S, F, O, G>(
+/// `make_sampler` builds a fresh kernel per chain (typically with
+/// overdispersed initial states) from the chain's RNG stream
+/// `rng.split_index("chain", k)`; `make_observer(k)` builds its observer,
+/// which runs on the chain's thread and is returned with the outcome so
+/// callers can recover owned state (e.g. a trace buffer to merge). `tag`
+/// names the kernel in checkpoint files (conventionally `"mh"` /
+/// `"hmc"`).
+pub fn run_chains<S, F, O, G>(
     make_sampler: F,
     make_observer: G,
     n_chains: usize,
@@ -564,11 +571,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::{run_chains, Sampler};
+    use crate::chain::{run_chain, Sampler};
     use crate::mh::MetropolisHastings;
     use crate::model::{NodeId, PathData, PathObservation};
     use crate::prior::Prior;
-    use crate::progress::NoProgress;
+    use crate::progress::Progress;
 
     fn data() -> PathData {
         let mut obs = Vec::new();
@@ -587,6 +594,32 @@ mod tests {
         PathData::from_observations(&obs, &[])
     }
 
+    /// `run_chains` with nothing observed.
+    fn run<S, F>(
+        make: F,
+        n: usize,
+        cfg: &ChainConfig,
+        rng: &SimRng,
+        sup: &SupervisorConfig,
+    ) -> SupervisedRun<Progress>
+    where
+        S: Checkpointable + Send,
+        F: Fn(usize, &mut SimRng) -> S + Sync,
+    {
+        run_chains(make, |_| Progress::default(), n, cfg, rng, sup, "mh")
+    }
+
+    /// The completed chains of an unsupervised run.
+    fn plain<S, F>(make: F, n: usize, cfg: &ChainConfig, rng: &SimRng) -> Vec<Chain>
+    where
+        S: Checkpointable + Send,
+        F: Fn(usize, &mut SimRng) -> S + Sync,
+    {
+        let (done, failed) = run(make, n, cfg, rng, &SupervisorConfig::default()).into_parts();
+        assert!(failed.is_empty(), "failures: {failed:?}");
+        done.into_iter().map(|(_, chain, _)| chain).collect()
+    }
+
     fn tmp_base(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("because-supervisor-{name}-{}", std::process::id()));
@@ -600,7 +633,7 @@ mod tests {
     }
 
     #[test]
-    fn default_supervision_matches_plain_driver_bitwise() {
+    fn parallel_chains_match_the_single_chain_driver_bitwise() {
         let d = data();
         let cfg = ChainConfig {
             warmup: 60,
@@ -610,26 +643,20 @@ mod tests {
         let rng = SimRng::new(42);
         let make =
             |_k: usize, r: &mut SimRng| MetropolisHastings::from_prior(&d, Prior::default(), r);
-        let plain = run_chains(make, 3, &cfg, &rng);
-        let supervised = run_chains_supervised(
-            make,
-            |_| NoProgress,
-            3,
-            &cfg,
-            &rng,
-            &SupervisorConfig::default(),
-            "mh",
-        );
+        let supervised = run(make, 3, &cfg, &rng, &SupervisorConfig::default());
         assert_eq!(supervised.checkpoints_written(), 0);
         assert_eq!(supervised.resumed_chains(), 0);
         let (done, failed) = supervised.into_parts();
         assert!(failed.is_empty(), "failures: {failed:?}");
         assert_eq!(done.len(), 3);
-        for ((k, chain, _), p) in done.iter().zip(&plain) {
-            assert_eq!(chain.flat(), p.flat(), "chain {k} diverged");
-            assert_eq!(chain.accept_rate, p.accept_rate);
-            assert_eq!(chain.proposals, p.proposals);
+        for (k, chain, _) in &done {
+            let mut r = rng.split_index("chain", *k as u64);
+            let single = run_chain(make(*k, &mut r), &cfg, &mut r);
+            assert_eq!(chain.flat(), single.flat(), "chain {k} diverged");
+            assert_eq!(chain.accept_rate, single.accept_rate);
+            assert_eq!(chain.proposals, single.proposals);
         }
+        assert_ne!(done[0].1.flat(), done[1].1.flat(), "chains differ");
     }
 
     #[test]
@@ -644,7 +671,7 @@ mod tests {
         let make =
             |_k: usize, r: &mut SimRng| MetropolisHastings::from_prior(&d, Prior::default(), r);
 
-        let uninterrupted = run_chains(make, 2, &cfg, &rng);
+        let uninterrupted = plain(make, 2, &cfg, &rng);
 
         let base = tmp_base("resume");
         let stop = SupervisorConfig {
@@ -653,7 +680,7 @@ mod tests {
             stop_after_draws: Some(25),
             ..Default::default()
         };
-        let first = run_chains_supervised(make, |_| NoProgress, 2, &cfg, &rng, &stop, "mh");
+        let first = run(make, 2, &cfg, &rng, &stop);
         for c in &first.chains {
             assert!(
                 matches!(c.outcome, ChainOutcome::Interrupted { samples_done: 25 }),
@@ -669,7 +696,7 @@ mod tests {
             resume: Some(base.clone()),
             ..Default::default()
         };
-        let second = run_chains_supervised(make, |_| NoProgress, 2, &cfg, &rng, &resume, "mh");
+        let second = run(make, 2, &cfg, &rng, &resume);
         assert_eq!(second.resumed_chains(), 2);
         let (done, failed) = second.into_parts();
         assert!(failed.is_empty(), "failures: {failed:?}");
@@ -702,16 +729,16 @@ mod tests {
         let rng = SimRng::new(3);
         let make =
             |_k: usize, r: &mut SimRng| MetropolisHastings::from_prior(&d, Prior::default(), r);
-        let plain = run_chains(make, 2, &cfg, &rng);
+        let fresh = plain(make, 2, &cfg, &rng);
         let resume = SupervisorConfig {
             resume: Some(tmp_base("never-written")),
             ..Default::default()
         };
-        let run = run_chains_supervised(make, |_| NoProgress, 2, &cfg, &rng, &resume, "mh");
+        let run = run(make, 2, &cfg, &rng, &resume);
         assert_eq!(run.resumed_chains(), 0);
         let (done, failed) = run.into_parts();
         assert!(failed.is_empty());
-        for ((_, chain, _), p) in done.iter().zip(&plain) {
+        for ((_, chain, _), p) in done.iter().zip(&fresh) {
             assert_eq!(chain.flat(), p.flat());
         }
     }
@@ -734,7 +761,7 @@ mod tests {
             stop_after_draws: Some(15),
             ..Default::default()
         };
-        run_chains_supervised(make, |_| NoProgress, 2, &cfg, &rng, &stop, "mh");
+        run(make, 2, &cfg, &rng, &stop);
 
         // Truncate chain 1's file mid-payload.
         let victim = chain_file(&base, "mh", 1);
@@ -745,7 +772,7 @@ mod tests {
             resume: Some(base.clone()),
             ..Default::default()
         };
-        let run = run_chains_supervised(make, |_| NoProgress, 2, &cfg, &rng, &resume, "mh");
+        let run = run(make, 2, &cfg, &rng, &resume);
         assert!(matches!(run.chains[0].outcome, ChainOutcome::Completed(_)));
         match &run.chains[1].outcome {
             ChainOutcome::Poisoned { reason } => {
@@ -821,15 +848,7 @@ mod tests {
             steps: 0,
             panic_at: (k == 1).then_some(25),
         };
-        let run = run_chains_supervised(
-            make,
-            |_| NoProgress,
-            3,
-            &cfg,
-            &rng,
-            &SupervisorConfig::default(),
-            "mh",
-        );
+        let run = run(make, 3, &cfg, &rng, &SupervisorConfig::default());
         let (done, failed) = run.into_parts();
         assert_eq!(done.len(), 2, "healthy chains must complete");
         for (_, chain, _) in &done {
@@ -860,7 +879,7 @@ mod tests {
             wall_clock_timeout: Some(std::time::Duration::from_millis(50)),
             ..Default::default()
         };
-        let run = run_chains_supervised(make, |_| NoProgress, 1, &cfg, &rng, &sup, "mh");
+        let run = run(make, 1, &cfg, &rng, &sup);
         assert!(
             matches!(
                 run.chains[0].outcome,

@@ -54,6 +54,10 @@
 //!   wall-clock watchdog; a timed-out sampling chain checkpoints first;
 //! * `REPRO_KILL_AFTER_DRAWS` — test hook: checkpoint then exit with
 //!   code 86 after N draws, simulating an external kill.
+//!
+//! A malformed value of `--faults`, `--checkpoint-every`,
+//! `--timeout-secs`, `REPRO_KILL_AFTER_DRAWS` or `--progress` is a usage
+//! error: the binary says what is wrong and exits 2.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -220,24 +224,39 @@ pub fn dash_path() -> Option<std::path::PathBuf> {
     flag_or_env("dash", "REPRO_DASH").map(std::path::PathBuf::from)
 }
 
+/// The value of a parse, or a usage error: print it and exit 2 rather
+/// than run with a silently substituted default.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
+/// Parse an optional non-negative integer flag value.
+fn parse_count(flag: &str, value: Option<String>) -> Result<Option<u64>, String> {
+    value
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("invalid {flag} {v:?}: expected a non-negative integer"))
+        })
+        .transpose()
+}
+
 /// The fault plan spec from `--faults <spec>` / `REPRO_FAULTS`, if any.
-/// A malformed spec is a usage error: report it and exit 2 rather than
-/// silently running fault-free.
+/// A malformed spec is a usage error (exit 2).
 pub fn faults_spec() -> Option<FaultSpec> {
     let text = flag_or_env("faults", "REPRO_FAULTS")?;
-    match FaultSpec::parse(&text) {
-        Ok(spec) => Some(spec),
-        Err(e) => {
-            eprintln!("invalid --faults spec: {e}");
-            std::process::exit(2);
-        }
-    }
+    Some(or_exit(
+        FaultSpec::parse(&text).map_err(|e| format!("invalid --faults spec: {e}")),
+    ))
 }
 
 /// The chain supervisor settings from `--checkpoint` / `--resume` /
 /// `--checkpoint-every` / `--timeout-secs` (and their `REPRO_*`
 /// variables). All absent → the default supervisor, which reproduces
-/// the unsupervised run bitwise.
+/// the unsupervised run bitwise. A malformed number is a usage error
+/// (exit 2).
 pub fn supervisor_config() -> SupervisorConfig {
     supervisor_config_tagged("")
 }
@@ -247,44 +266,79 @@ pub fn supervisor_config() -> SupervisorConfig {
 /// process (per interval, per scenario), so their chain files never
 /// collide.
 pub fn supervisor_config_tagged(tag: &str) -> SupervisorConfig {
-    let with_tag = |base: String| -> PathBuf {
-        if tag.is_empty() {
-            PathBuf::from(base)
-        } else {
-            PathBuf::from(format!("{base}.{tag}"))
+    or_exit(
+        SupervisorArgs {
+            checkpoint: flag_or_env("checkpoint", "REPRO_CHECKPOINT"),
+            resume: flag_or_env("resume", "REPRO_RESUME"),
+            checkpoint_every: flag_or_env("checkpoint-every", "REPRO_CHECKPOINT_EVERY"),
+            timeout_secs: flag_or_env("timeout-secs", "REPRO_TIMEOUT_SECS"),
+            kill_after_draws: std::env::var("REPRO_KILL_AFTER_DRAWS")
+                .ok()
+                .filter(|s| !s.is_empty()),
         }
-    };
-    SupervisorConfig {
-        checkpoint: flag_or_env("checkpoint", "REPRO_CHECKPOINT").map(&with_tag),
-        resume: flag_or_env("resume", "REPRO_RESUME").map(&with_tag),
-        checkpoint_every: flag_or_env("checkpoint-every", "REPRO_CHECKPOINT_EVERY")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(100),
-        wall_clock_timeout: flag_or_env("timeout-secs", "REPRO_TIMEOUT_SECS")
-            .and_then(|s| s.parse::<u64>().ok())
-            .map(Duration::from_secs),
-        stop_after_draws: None,
-        kill_after_draws: std::env::var("REPRO_KILL_AFTER_DRAWS")
-            .ok()
-            .and_then(|s| s.parse().ok()),
+        .parse(tag),
+    )
+}
+
+/// The raw supervisor flag values, before parsing.
+#[derive(Default)]
+struct SupervisorArgs {
+    checkpoint: Option<String>,
+    resume: Option<String>,
+    checkpoint_every: Option<String>,
+    timeout_secs: Option<String>,
+    kill_after_draws: Option<String>,
+}
+
+impl SupervisorArgs {
+    /// The supervisor these values ask for (`checkpoint_every` defaults
+    /// to 100), with `.<tag>` appended to the base paths when `tag` is
+    /// non-empty.
+    fn parse(self, tag: &str) -> Result<SupervisorConfig, String> {
+        let with_tag = |base: String| -> PathBuf {
+            if tag.is_empty() {
+                PathBuf::from(base)
+            } else {
+                PathBuf::from(format!("{base}.{tag}"))
+            }
+        };
+        Ok(SupervisorConfig {
+            checkpoint: self.checkpoint.map(with_tag),
+            resume: self.resume.map(with_tag),
+            checkpoint_every: parse_count("--checkpoint-every", self.checkpoint_every)?
+                .unwrap_or(100),
+            wall_clock_timeout: parse_count("--timeout-secs", self.timeout_secs)?
+                .map(Duration::from_secs),
+            stop_after_draws: None,
+            kill_after_draws: parse_count("REPRO_KILL_AFTER_DRAWS", self.kill_after_draws)?,
+        })
     }
 }
 
 /// The `--progress [every-n]` cadence: `0` when the flag is absent, the
 /// given iteration count when one follows (`--progress 500` or
-/// `--progress=500`), else a default of 200.
+/// `--progress=500`), else a default of 200. A value that is not a
+/// number is a usage error (exit 2).
 pub fn progress_every() -> usize {
-    let mut args = std::env::args().skip(1).peekable();
+    or_exit(parse_progress(std::env::args().skip(1)))
+}
+
+/// [`progress_every`] over an explicit argument list. A bare
+/// `--progress` followed by another flag (or nothing) takes the default.
+fn parse_progress(args: impl IntoIterator<Item = String>) -> Result<usize, String> {
+    let mut args = args.into_iter().peekable();
     while let Some(arg) = args.next() {
-        if arg == "--progress" {
-            let n = args.peek().and_then(|next| next.parse::<usize>().ok());
-            return n.unwrap_or(200).max(1);
-        }
-        if let Some(n) = arg.strip_prefix("--progress=") {
-            return n.parse::<usize>().ok().unwrap_or(200).max(1);
-        }
+        let value = if arg == "--progress" {
+            args.next_if(|next| !next.starts_with("--"))
+        } else if let Some(v) = arg.strip_prefix("--progress=") {
+            Some(v.to_string())
+        } else {
+            continue;
+        };
+        let every = parse_count("--progress", value)?.unwrap_or(200);
+        return Ok((every as usize).max(1));
     }
-    0
+    Ok(0)
 }
 
 /// Collects a binary's run report and emits it on request.
@@ -312,16 +366,18 @@ pub struct Reporter {
 }
 
 impl Reporter {
-    /// A reporter for the named binary. When `--trace` or `--dash` is
-    /// set, a master trace buffer is opened; merge layer traces into it
-    /// with [`Reporter::merge_trace`]. [`Reporter::emit`] writes the
+    /// A reporter for the named binary; malformed supervisor or
+    /// `--progress` values end the process here (exit 2). When `--trace`
+    /// or `--dash` is set, a master trace buffer is opened; merge layer
+    /// traces into it with [`Reporter::merge_trace`]. [`Reporter::emit`] writes the
     /// Chrome trace file (under `--trace`) and the dashboard (under
     /// `--dash`). When `--serve` is set, the HTTP endpoint starts here.
     pub fn new(name: &str) -> Reporter {
+        // Reject malformed chain flags (exit 2) before any simulation.
+        supervisor_config();
+        progress_every();
         let server = serve_addr().and_then(|addr| {
-            let state = obs::serve::install(std::sync::Arc::new(obs::serve::ServeState::new(
-                obs::Registry::new(),
-            )));
+            let state = obs::serve::install(std::sync::Arc::new(obs::serve::ServeState::new()));
             match obs::serve::Server::start(&addr, state.clone()) {
                 Ok(s) => {
                     eprintln!("serving diagnostics on http://{}/", s.local_addr());
@@ -471,6 +527,96 @@ impl Reporter {
                 std::thread::sleep(Duration::from_secs(secs));
             }
             server.shutdown();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn progress_cadence_parses_or_fails() {
+        assert_eq!(parse_progress(args(&[])), Ok(0));
+        assert_eq!(parse_progress(args(&["--progress"])), Ok(200));
+        assert_eq!(
+            parse_progress(args(&["--progress", "--trace", "t"])),
+            Ok(200)
+        );
+        assert_eq!(parse_progress(args(&["--progress", "500"])), Ok(500));
+        assert_eq!(parse_progress(args(&["--progress=50"])), Ok(50));
+        assert_eq!(parse_progress(args(&["--progress=0"])), Ok(1));
+        for bad in [
+            &["--progress=abc"][..],
+            &["--progress", "abc"],
+            &["--progress=-5"],
+            &["--progress="],
+        ] {
+            let err = parse_progress(args(bad)).unwrap_err();
+            assert!(err.contains("--progress"), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn supervisor_defaults_and_tags() {
+        let sup = SupervisorArgs::default().parse("").unwrap();
+        assert_eq!(sup.checkpoint, None);
+        assert_eq!(sup.checkpoint_every, 100);
+        assert_eq!(sup.wall_clock_timeout, None);
+        assert_eq!(sup.kill_after_draws, None);
+        let sup = SupervisorArgs {
+            checkpoint: Some("ck".into()),
+            resume: Some("ck".into()),
+            checkpoint_every: Some("25".into()),
+            timeout_secs: Some("3".into()),
+            kill_after_draws: Some("150".into()),
+        }
+        .parse("i5")
+        .unwrap();
+        assert_eq!(sup.checkpoint, Some(PathBuf::from("ck.i5")));
+        assert_eq!(sup.resume, Some(PathBuf::from("ck.i5")));
+        assert_eq!(sup.checkpoint_every, 25);
+        assert_eq!(sup.wall_clock_timeout, Some(Duration::from_secs(3)));
+        assert_eq!(sup.kill_after_draws, Some(150));
+    }
+
+    #[test]
+    fn bad_supervisor_numbers_are_errors() {
+        for bad in ["abc", "-1", "1.5", " 7", ""] {
+            let cases = [
+                (
+                    "--checkpoint-every",
+                    SupervisorArgs {
+                        checkpoint_every: Some(bad.into()),
+                        ..Default::default()
+                    },
+                ),
+                (
+                    "--timeout-secs",
+                    SupervisorArgs {
+                        timeout_secs: Some(bad.into()),
+                        ..Default::default()
+                    },
+                ),
+                (
+                    "REPRO_KILL_AFTER_DRAWS",
+                    SupervisorArgs {
+                        kill_after_draws: Some(bad.into()),
+                        ..Default::default()
+                    },
+                ),
+            ];
+            for (flag, raw) in cases {
+                let err = raw.parse("").unwrap_err();
+                assert!(
+                    err.contains(flag) && err.contains(bad),
+                    "{flag} {bad:?}: {err}"
+                );
+            }
         }
     }
 }

@@ -3,8 +3,8 @@
 //! These are deliberately *not* shared-state abstractions: each is a bare
 //! `u64`/`f64` cell (plus fixed bucket arrays for histograms), so an
 //! update compiles to a load/add/store. Subsystems export them into a
-//! [`crate::Section`] at snapshot time. When several threads genuinely
-//! need one sink, use [`crate::Registry`] instead.
+//! [`crate::Section`] at snapshot time. A sink several threads share
+//! wraps them in one lock (see [`crate::serve::ServeState`]).
 
 use crate::report::HistogramSnapshot;
 

@@ -1,24 +1,36 @@
-//! Live metrics serving: a dependency-free HTTP endpoint over the atomic
-//! [`Registry`].
+//! Live metrics serving: a dependency-free HTTP endpoint over the
+//! sampler-progress state in [`ServeState`].
 //!
 //! A long campaign (hours at `paper` scale) is a black box without a
 //! scrapeable surface: the RunReport only exists once the run is over.
-//! [`Server`] fixes that with a deliberately tiny `std::net`-only HTTP/1.1
+//! [`Server`] fixes that with a deliberately tiny `std::net`-only
 //! responder — a blocking accept loop on one background thread — exposing
 //!
-//! * `GET /metrics`  — the shared [`Registry`] in Prometheus text
-//!   exposition format (version 0.0.4): counters and gauges as single
-//!   samples, histograms as cumulative `_bucket`/`_sum`/`_count`
-//!   families plus interpolated `_p50`/`_p90`/`_p99` gauges;
+//! * `GET /metrics`  — the seven sampler-progress series in Prometheus
+//!   text exposition format (version 0.0.4): counters and gauges as
+//!   single samples, the snapshot accept-rate histogram as a cumulative
+//!   `_bucket`/`_sum`/`_count` family plus interpolated
+//!   `_p50`/`_p90`/`_p99` gauges;
 //! * `GET /progress` — the latest per-chain sampler snapshot (draw
 //!   count, accept rate, incremental split-R̂/min-ESS) as JSON;
 //! * `GET /report`   — the most recently published [`RunReport`] JSON;
 //! * `GET /healthz`  — `200 ok`, for liveness probes.
 //!
-//! Everything is read-only and lock-cheap: the registry cells are relaxed
-//! atomics, the progress table and report body sit behind short-critical-
-//! section mutexes written only at the observer cadence (default every 50
-//! iterations). The serving thread never touches the sampler hot path.
+//! Everything is read-only and lock-cheap: the metric values and the
+//! progress table (which also carries the draw-delta bookkeeping) sit
+//! behind one mutex,
+//! the report body behind another, each written only at the observer
+//! cadence (default every 50 iterations). The serving thread never
+//! touches the sampler hot path.
+//!
+//! ## Connection handling
+//!
+//! Connections are served **one at a time**, one request each: the
+//! response is an `HTTP/1.1` status line with `Connection: close`. Every
+//! connection gets 2 s read and write timeouts, so a client that
+//! connects and sends nothing (or stops reading) holds the loop for at
+//! most about 2 s; the next client is then answered, and
+//! [`Server::shutdown`] still joins.
 //!
 //! ## Process-global state
 //!
@@ -26,8 +38,9 @@
 //! [`install`]; layers that cannot thread a handle through their
 //! signatures (the chain driver's progress observer) look it up with
 //! [`installed`]. When nothing is installed — every default run — the
-//! lookup is a single `OnceLock` load returning `None`, so the serve path
-//! costs nothing while disabled.
+//! lookup is a single `OnceLock` load returning `None`.
+//!
+//! [`RunReport`]: crate::RunReport
 
 use std::io::{Read, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -36,7 +49,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use crate::json::{json_f64, json_string};
-use crate::registry::Registry;
+use crate::metrics::Histogram;
 use crate::report::HistogramSnapshot;
 
 /// One chain's most recent progress snapshot, as published by the sampler
@@ -65,60 +78,59 @@ pub struct ChainProgress {
     pub min_ess: f64,
 }
 
-/// Handles to the standard progress metrics every served run exposes.
-struct ProgressIds {
-    snapshots: crate::CounterId,
-    draws: crate::CounterId,
-    divergences: crate::GaugeId,
-    accept_rate: crate::GaugeId,
-    split_r_hat: crate::GaugeId,
-    min_ess: crate::GaugeId,
-    accept_hist: crate::HistogramId,
+/// Everything `/metrics` and `/progress` render, under one lock.
+#[derive(Debug)]
+struct Live {
+    /// Snapshots recorded (`repro_progress_snapshots`).
+    snapshots: u64,
+    /// Sampling draws credited so far (`repro_draws`).
+    draws: u64,
+    /// Last snapshot's divergences (`repro_divergences`).
+    divergences: f64,
+    /// Last snapshot's accept rate (`repro_accept_rate`).
+    accept_rate: f64,
+    /// Last finite split-R̂ (`repro_split_r_hat`).
+    split_r_hat: f64,
+    /// Last finite min-ESS (`repro_min_ess`).
+    min_ess: f64,
+    /// Accept rate of every snapshot (`repro_snapshot_accept_rate`).
+    accept_hist: Histogram,
+    /// The `/progress` table: one row per (kernel, chain).
+    progress: Vec<ChainProgress>,
 }
 
-/// Shared state behind the served endpoints.
-///
-/// Construction takes ownership of a pre-registered [`Registry`] (metric
-/// registration needs `&mut`, serving needs `&self`); the standard
-/// progress metrics are appended during construction.
+/// Shared state behind the served endpoints: the sampler-progress
+/// series (`progress_snapshots`, `draws`, `divergences`, `accept_rate`,
+/// `split_r_hat`, `min_ess`, `snapshot_accept_rate`), the `/progress`
+/// table, and the last published report.
+#[derive(Debug)]
 pub struct ServeState {
-    registry: Registry,
-    ids: ProgressIds,
-    progress: Mutex<Vec<ChainProgress>>,
+    live: Mutex<Live>,
     report_json: Mutex<Option<String>>,
-    /// Per-chain last seen sampling iteration, for draw-delta accounting.
-    last_iteration: Mutex<Vec<(&'static str, usize, usize)>>,
+}
+
+impl Default for ServeState {
+    fn default() -> Self {
+        ServeState::new()
+    }
 }
 
 impl ServeState {
-    /// Wrap a registry, appending the standard sampler-progress metrics
-    /// (`progress_snapshots`, `draws`, `divergences`, `accept_rate`,
-    /// `split_r_hat`, `min_ess`, `snapshot_accept_rate`).
-    pub fn new(mut registry: Registry) -> ServeState {
-        let ids = ProgressIds {
-            snapshots: registry.counter("progress_snapshots"),
-            draws: registry.counter("draws"),
-            divergences: registry.gauge("divergences"),
-            accept_rate: registry.gauge("accept_rate"),
-            split_r_hat: registry.gauge("split_r_hat"),
-            min_ess: registry.gauge("min_ess"),
-            accept_hist: registry.histogram(
-                "snapshot_accept_rate",
-                &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
-            ),
-        };
+    /// Empty state: zeroed series, no chains, no report.
+    pub fn new() -> ServeState {
         ServeState {
-            registry,
-            ids,
-            progress: Mutex::new(Vec::new()),
+            live: Mutex::new(Live {
+                snapshots: 0,
+                draws: 0,
+                divergences: 0.0,
+                accept_rate: 0.0,
+                split_r_hat: 0.0,
+                min_ess: 0.0,
+                accept_hist: Histogram::new(&[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
+                progress: Vec::new(),
+            }),
             report_json: Mutex::new(None),
-            last_iteration: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The shared metric registry (record with pre-registered handles).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// Publish the current report JSON (served at `/report`). Call at
@@ -128,47 +140,37 @@ impl ServeState {
     }
 
     /// Record one chain-progress snapshot: updates the `/progress` table
-    /// and the standard registry metrics.
+    /// and the `/metrics` series.
     pub fn record_progress(&self, p: ChainProgress) {
-        self.registry.inc(self.ids.snapshots);
-        self.registry.set(self.ids.accept_rate, p.accept_rate);
-        self.registry.record(self.ids.accept_hist, p.accept_rate);
-        self.registry
-            .set(self.ids.divergences, p.divergences as f64);
+        let mut live = self.live.lock().expect("serve state lock");
+        live.snapshots += 1;
+        live.accept_rate = p.accept_rate;
+        live.accept_hist.record(p.accept_rate);
+        live.divergences = p.divergences as f64;
         if p.split_r_hat.is_finite() {
-            self.registry.set(self.ids.split_r_hat, p.split_r_hat);
+            live.split_r_hat = p.split_r_hat;
         }
         if p.min_ess.is_finite() {
-            self.registry.set(self.ids.min_ess, p.min_ess);
+            live.min_ess = p.min_ess;
         }
-        // Draw accounting: during sampling, credit the delta since the
-        // last snapshot of this (kernel, chain).
-        if p.phase == "sampling" {
-            let mut last = self.last_iteration.lock().expect("iteration lock");
-            let entry = last
-                .iter_mut()
-                .find(|(k, c, _)| *k == p.kernel && *c == p.chain_index);
-            let prev = match entry {
-                Some((_, _, it)) => {
-                    let prev = *it;
-                    *it = p.iteration;
-                    prev
-                }
-                None => {
-                    last.push((p.kernel, p.chain_index, p.iteration));
-                    0
-                }
-            };
-            self.registry
-                .add(self.ids.draws, p.iteration.saturating_sub(prev) as u64);
-        }
-        let mut table = self.progress.lock().expect("progress lock");
-        match table
+        let live = &mut *live;
+        let row = live
+            .progress
             .iter_mut()
-            .find(|e| e.kernel == p.kernel && e.chain_index == p.chain_index)
-        {
+            .find(|e| e.kernel == p.kernel && e.chain_index == p.chain_index);
+        // Draw accounting: during sampling, credit the draws since this
+        // chain's previous sampling snapshot (none after its warmup, or
+        // after an earlier run of the same chain index finished).
+        if p.phase == "sampling" {
+            let prev = row
+                .as_ref()
+                .filter(|r| r.phase == "sampling")
+                .map_or(0, |r| r.iteration);
+            live.draws += p.iteration.saturating_sub(prev) as u64;
+        }
+        match row {
             Some(slot) => *slot = p,
-            None => table.push(p),
+            None => live.progress.push(p),
         }
     }
 
@@ -177,43 +179,57 @@ impl ServeState {
     /// after the final sampling snapshot. Chains that never snapshotted
     /// (cadence longer than the run) have no row and stay unrecorded.
     pub fn mark_done(&self, kernel: &'static str, chain_index: usize) {
-        let sampling_total = {
-            let mut table = self.progress.lock().expect("progress lock");
-            let Some(slot) = table
-                .iter_mut()
-                .find(|e| e.kernel == kernel && e.chain_index == chain_index)
-            else {
-                return;
-            };
-            let was_sampling = slot.phase == "sampling";
-            slot.phase = "done";
-            if !was_sampling {
-                return;
-            }
-            slot.iteration = slot.total;
-            slot.total
-        };
-        let mut last = self.last_iteration.lock().expect("iteration lock");
-        if let Some((_, _, it)) = last
+        let mut live = self.live.lock().expect("serve state lock");
+        let live = &mut *live;
+        let Some(slot) = live
+            .progress
             .iter_mut()
-            .find(|(k, c, _)| *k == kernel && *c == chain_index)
-        {
-            let delta = sampling_total.saturating_sub(*it);
-            *it = sampling_total;
-            self.registry.add(self.ids.draws, delta as u64);
+            .find(|e| e.kernel == kernel && e.chain_index == chain_index)
+        else {
+            return;
+        };
+        if slot.phase == "sampling" {
+            live.draws += slot.total.saturating_sub(slot.iteration) as u64;
+            slot.iteration = slot.total;
         }
+        slot.phase = "done";
     }
 
-    /// The `/metrics` body: the registry in Prometheus text exposition.
+    /// The `/metrics` body: the sampler-progress series in Prometheus
+    /// text exposition.
     pub fn render_metrics(&self) -> String {
-        self.registry.to_prometheus("repro")
+        let live = self.live.lock().expect("serve state lock");
+        let mut out = String::new();
+        for (name, v) in [
+            ("progress_snapshots", live.snapshots),
+            ("draws", live.draws),
+        ] {
+            out.push_str(&format!("# TYPE repro_{name} counter\nrepro_{name} {v}\n"));
+        }
+        for (name, v) in [
+            ("divergences", live.divergences),
+            ("accept_rate", live.accept_rate),
+            ("split_r_hat", live.split_r_hat),
+            ("min_ess", live.min_ess),
+        ] {
+            out.push_str(&format!(
+                "# TYPE repro_{name} gauge\nrepro_{name} {}\n",
+                prometheus_f64(v)
+            ));
+        }
+        prometheus_histogram(
+            &mut out,
+            "repro_snapshot_accept_rate",
+            &live.accept_hist.snapshot(),
+        );
+        out
     }
 
     /// The `/progress` body: the latest per-chain snapshots as JSON.
     pub fn render_progress(&self) -> String {
-        let table = self.progress.lock().expect("progress lock");
+        let live = self.live.lock().expect("serve state lock");
         let mut out = String::from("{\"chains\":[");
-        for (i, p) in table.iter().enumerate() {
+        for (i, p) in live.progress.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -382,29 +398,6 @@ fn handle_connection(mut stream: TcpStream, state: &ServeState) -> std::io::Resu
     stream.flush()
 }
 
-/// Sanitize a metric name for the exposition format: every character
-/// outside `[a-zA-Z0-9_:]` becomes `_` (the registry's dotted label
-/// convention `rfd_suppressions.cisco` turns into
-/// `rfd_suppressions_cisco`), and a leading digit gains a `_` prefix.
-pub fn prometheus_name(prefix: &str, name: &str) -> String {
-    let mut out = String::with_capacity(prefix.len() + name.len() + 1);
-    if !prefix.is_empty() {
-        out.push_str(prefix);
-        out.push('_');
-    }
-    for (i, c) in name.chars().enumerate() {
-        if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-            if i == 0 && out.is_empty() && c.is_ascii_digit() {
-                out.push('_');
-            }
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    out
-}
-
 /// A float in exposition form: `+Inf` / `-Inf` / `NaN` per the format
 /// spec, shortest-round-trip decimal otherwise.
 pub fn prometheus_f64(v: f64) -> String {
@@ -421,7 +414,7 @@ pub fn prometheus_f64(v: f64) -> String {
 
 /// Render one histogram snapshot as a cumulative Prometheus family plus
 /// interpolated quantile gauges, appending to `out`.
-pub(crate) fn prometheus_histogram(out: &mut String, name: &str, snap: &HistogramSnapshot) {
+fn prometheus_histogram(out: &mut String, name: &str, snap: &HistogramSnapshot) {
     out.push_str(&format!("# TYPE {name} histogram\n"));
     let mut cumulative = 0u64;
     for (i, c) in snap.counts.iter().enumerate() {
@@ -538,32 +531,109 @@ mod tests {
         (head.to_string(), body.to_string())
     }
 
-    fn served_state() -> Arc<ServeState> {
-        let mut reg = Registry::new();
-        let events = reg.counter("events_processed");
-        let depth = reg.gauge("queue_depth");
-        let delay = reg.histogram("export_delay_mins", &[1.0, 10.0]);
-        let state = Arc::new(ServeState::new(reg));
-        state.registry().add(events, 42);
-        state.registry().set(depth, 7.5);
-        state.registry().record(delay, 0.5);
-        state.registry().record(delay, 99.0);
+    /// A snapshot with no divergences and no convergence estimates yet.
+    fn snap(
+        kernel: &'static str,
+        chain_index: usize,
+        phase: &'static str,
+        iteration: usize,
+        accept_rate: f64,
+    ) -> ChainProgress {
+        ChainProgress {
+            kernel,
+            chain_index,
+            phase,
+            iteration,
+            total: if phase == "warmup" { 100 } else { 170 },
+            accept_rate,
+            divergences: 0,
+            split_r_hat: f64::NAN,
+            min_ess: f64::NAN,
+        }
+    }
+
+    /// A fixed run: MH chain 0 warms up and samples to 100 of 170, HMC
+    /// chain 1 samples to 50 of 170, then both finish.
+    fn fixed_run() -> ServeState {
+        let state = ServeState::new();
+        state.record_progress(snap("MH", 0, "warmup", 50, 0.05));
+        state.record_progress(ChainProgress {
+            split_r_hat: 1.25,
+            min_ess: 12.5,
+            ..snap("MH", 0, "sampling", 50, 0.44)
+        });
+        state.record_progress(ChainProgress {
+            divergences: 2,
+            ..snap("HMC", 1, "sampling", 50, 0.95)
+        });
+        state.record_progress(ChainProgress {
+            split_r_hat: 1.0625,
+            min_ess: 40.0,
+            ..snap("MH", 0, "sampling", 100, 0.52)
+        });
+        state.mark_done("MH", 0);
+        state.mark_done("HMC", 1);
         state
+    }
+
+    /// The `/metrics` and `/progress` contract, pinned byte for byte.
+    /// Only the accept-rate quantiles depend on the histogram tracking
+    /// its min and max: p90/p99 interpolate into the overflow bucket up
+    /// to the largest sample (0.95) instead of stopping at its bound.
+    #[test]
+    fn metrics_body_after_a_fixed_run_is_exact() {
+        let state = fixed_run();
+        assert_eq!(
+            state.render_metrics(),
+            "# TYPE repro_progress_snapshots counter\n\
+             repro_progress_snapshots 4\n\
+             # TYPE repro_draws counter\n\
+             repro_draws 340\n\
+             # TYPE repro_divergences gauge\n\
+             repro_divergences 0\n\
+             # TYPE repro_accept_rate gauge\n\
+             repro_accept_rate 0.52\n\
+             # TYPE repro_split_r_hat gauge\n\
+             repro_split_r_hat 1.0625\n\
+             # TYPE repro_min_ess gauge\n\
+             repro_min_ess 40\n\
+             # TYPE repro_snapshot_accept_rate histogram\n\
+             repro_snapshot_accept_rate_bucket{le=\"0.1\"} 1\n\
+             repro_snapshot_accept_rate_bucket{le=\"0.2\"} 1\n\
+             repro_snapshot_accept_rate_bucket{le=\"0.3\"} 1\n\
+             repro_snapshot_accept_rate_bucket{le=\"0.4\"} 1\n\
+             repro_snapshot_accept_rate_bucket{le=\"0.5\"} 2\n\
+             repro_snapshot_accept_rate_bucket{le=\"0.6\"} 3\n\
+             repro_snapshot_accept_rate_bucket{le=\"0.7\"} 3\n\
+             repro_snapshot_accept_rate_bucket{le=\"0.8\"} 3\n\
+             repro_snapshot_accept_rate_bucket{le=\"0.9\"} 3\n\
+             repro_snapshot_accept_rate_bucket{le=\"+Inf\"} 4\n\
+             repro_snapshot_accept_rate_sum 1.96\n\
+             repro_snapshot_accept_rate_count 4\n\
+             # TYPE repro_snapshot_accept_rate_p50 gauge\n\
+             repro_snapshot_accept_rate_p50 0.5\n\
+             # TYPE repro_snapshot_accept_rate_p90 gauge\n\
+             repro_snapshot_accept_rate_p90 0.9299999999999999\n\
+             # TYPE repro_snapshot_accept_rate_p99 gauge\n\
+             repro_snapshot_accept_rate_p99 0.948\n"
+        );
+        assert_eq!(
+            state.render_progress(),
+            "{\"chains\":[\
+             {\"kernel\":\"MH\",\"chain\":0,\"phase\":\"done\",\"iteration\":170,\"total\":170,\
+             \"accept_rate\":0.52,\"divergences\":0,\"split_r_hat\":1.0625,\"min_ess\":40},\
+             {\"kernel\":\"HMC\",\"chain\":1,\"phase\":\"done\",\"iteration\":170,\"total\":170,\
+             \"accept_rate\":0.95,\"divergences\":2,\"split_r_hat\":null,\"min_ess\":null}]}"
+        );
     }
 
     #[test]
     fn healthz_metrics_progress_report_roundtrip() {
-        let state = served_state();
+        let state = Arc::new(ServeState::new());
         state.record_progress(ChainProgress {
-            kernel: "MH",
-            chain_index: 0,
-            phase: "sampling",
-            iteration: 100,
-            total: 400,
-            accept_rate: 0.44,
-            divergences: 0,
             split_r_hat: 1.02,
             min_ess: 55.0,
+            ..snap("MH", 0, "sampling", 100, 0.44)
         });
         state.publish_report_json("{\"name\":\"t\",\"sections\":[]}".to_string());
         let server = Server::start("127.0.0.1:0", state).expect("bind");
@@ -576,14 +646,10 @@ mod tests {
         let (head, body) = scrape(addr, "/metrics");
         assert!(head.contains("text/plain; version=0.0.4"));
         validate_exposition(&body).expect("exposition must parse");
-        assert!(body.contains("# TYPE repro_events_processed counter"));
-        assert!(body.contains("repro_events_processed 42"));
-        assert!(body.contains("repro_queue_depth 7.5"));
-        assert!(body.contains("repro_export_delay_mins_bucket{le=\"+Inf\"} 2"));
-        assert!(body.contains("repro_export_delay_mins_count 2"));
-        assert!(body.contains("repro_export_delay_mins_p50"));
+        assert!(body.contains("# TYPE repro_draws counter"));
         assert!(body.contains("repro_accept_rate 0.44"));
         assert!(body.contains("repro_draws 100"));
+        assert!(body.contains("repro_snapshot_accept_rate_bucket{le=\"+Inf\"} 1"));
 
         let (head, body) = scrape(addr, "/progress");
         assert!(head.contains("application/json"));
@@ -601,7 +667,7 @@ mod tests {
 
     #[test]
     fn report_404_until_published() {
-        let state = Arc::new(ServeState::new(Registry::new()));
+        let state = Arc::new(ServeState::new());
         let server = Server::start("127.0.0.1:0", state.clone()).expect("bind");
         let (head, _) = scrape(server.local_addr(), "/report");
         assert!(head.starts_with("HTTP/1.1 404"));
@@ -613,8 +679,7 @@ mod tests {
 
     #[test]
     fn shutdown_joins_the_accept_thread() {
-        let state = Arc::new(ServeState::new(Registry::new()));
-        let server = Server::start("127.0.0.1:0", state).expect("bind");
+        let server = Server::start("127.0.0.1:0", Arc::new(ServeState::new())).expect("bind");
         let addr = server.local_addr();
         // Returning at all proves the accept thread joined (a wedged
         // loop would hang the test); the listener must also be gone.
@@ -624,22 +689,45 @@ mod tests {
     }
 
     #[test]
+    fn silent_client_delays_the_next_by_at_most_the_read_timeout() {
+        let server = Server::start("127.0.0.1:0", Arc::new(ServeState::new())).expect("bind");
+        let addr = server.local_addr();
+        // A client that connects and never sends a byte holds the serial
+        // loop until its 2 s read timeout fires (connections are
+        // accepted in connect order)…
+        let silent = TcpStream::connect(addr).expect("connect");
+        let started = std::time::Instant::now();
+        let mut probe = TcpStream::connect(addr).expect("connect");
+        probe
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        probe
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            .expect("request");
+        let mut response = String::new();
+        probe.read_to_string(&mut response).expect("response");
+        let waited = started.elapsed();
+        // …then the next client is answered.
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+        assert!(response.ends_with("ok\n"), "{response}");
+        assert!(waited >= Duration::from_millis(1500), "{waited:?}");
+        assert!(waited < Duration::from_millis(3500), "{waited:?}");
+        drop(silent);
+
+        // A silent client still connected at shutdown delays the join by
+        // at most the same timeout.
+        let _silent = TcpStream::connect(addr).expect("connect");
+        let started = std::time::Instant::now();
+        server.shutdown();
+        assert!(started.elapsed() < Duration::from_millis(3500));
+    }
+
+    #[test]
     fn progress_draw_deltas_accumulate_not_double_count() {
-        let state = Arc::new(ServeState::new(Registry::new()));
-        let snap = |it: usize| ChainProgress {
-            kernel: "HMC",
-            chain_index: 1,
-            phase: "sampling",
-            iteration: it,
-            total: 400,
-            accept_rate: 0.8,
-            divergences: 0,
-            split_r_hat: f64::NAN,
-            min_ess: f64::NAN,
-        };
-        state.record_progress(snap(50));
-        state.record_progress(snap(100));
-        state.record_progress(snap(150));
+        let state = ServeState::new();
+        for it in [50, 100, 150] {
+            state.record_progress(snap("HMC", 1, "sampling", it, 0.8));
+        }
         let metrics = state.render_metrics();
         assert!(metrics.contains("repro_draws 150"), "{metrics}");
         // The table keeps one row per chain, not one per snapshot.
@@ -650,20 +738,17 @@ mod tests {
 
     #[test]
     fn mark_done_flips_phase_and_credits_draw_tail() {
-        let state = Arc::new(ServeState::new(Registry::new()));
-        let snap = |it: usize| ChainProgress {
-            kernel: "MH",
-            chain_index: 0,
-            phase: "sampling",
-            iteration: it,
-            total: 170,
-            accept_rate: 0.5,
-            divergences: 0,
+        let state = ServeState::new();
+        state.record_progress(ChainProgress {
             split_r_hat: 1.02,
             min_ess: 80.0,
-        };
-        state.record_progress(snap(50));
-        state.record_progress(snap(100));
+            ..snap("MH", 0, "sampling", 50, 0.5)
+        });
+        state.record_progress(ChainProgress {
+            split_r_hat: 1.02,
+            min_ess: 80.0,
+            ..snap("MH", 0, "sampling", 100, 0.5)
+        });
         // The run ends between snapshots (170 not divisible by 50):
         // mark_done credits the 70-draw tail and keeps the statistics.
         state.mark_done("MH", 0);
@@ -678,16 +763,15 @@ mod tests {
         assert!(state.render_metrics().contains("repro_draws 170"));
         // Unknown chains are ignored.
         state.mark_done("HMC", 9);
-    }
-
-    #[test]
-    fn prometheus_name_sanitizes() {
-        assert_eq!(
-            prometheus_name("repro", "rfd_suppressions.cisco"),
-            "repro_rfd_suppressions_cisco"
-        );
-        assert_eq!(prometheus_name("", "lost.AS12"), "lost_AS12");
-        assert_eq!(prometheus_name("", "9lives"), "_9lives");
+        // A later run reusing the chain index (one process, several
+        // analyses) is credited in full.
+        state.record_progress(snap("MH", 0, "warmup", 50, 0.5));
+        state.record_progress(snap("MH", 0, "sampling", 50, 0.5));
+        state.mark_done("MH", 0);
+        assert!(state.render_metrics().contains("repro_draws 340"));
+        state.record_progress(snap("MH", 0, "sampling", 50, 0.5));
+        state.mark_done("MH", 0);
+        assert!(state.render_metrics().contains("repro_draws 510"));
     }
 
     #[test]
@@ -709,8 +793,8 @@ mod tests {
     }
 
     #[test]
-    fn exposition_of_live_registry_always_validates() {
-        let state = served_state();
-        validate_exposition(&state.render_metrics()).expect("render must self-validate");
+    fn exposition_always_validates() {
+        validate_exposition(&ServeState::new().render_metrics()).expect("empty state");
+        validate_exposition(&fixed_run().render_metrics()).expect("after a run");
     }
 }
